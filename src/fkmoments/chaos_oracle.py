@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .gaussian_paths import (
+    _JITTER,
     det_qsum_2,
     det_qsum_3,
     difference_covariance,
@@ -38,8 +39,6 @@ from .gaussian_paths import (
 )
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel, initial_field
 from .quadrature import eta_pair_rule, simplex_rule
-
-_JITTER = 1e-12
 
 __all__ = [
     "QueryPoint",
@@ -52,6 +51,10 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
+
+# tuples per block of the n = 3 contraction: the block's working arrays
+# (about twenty of 64 KB) stay in L2 cache
+_BLOCK = 8192
 
 # (depth_u, depth_r) refinement ladders per chaos order; deeper tensor
 # grids for higher n are not affordable, which the scale-floor tolerance
@@ -172,9 +175,9 @@ def _contract_gaussian(
 
     ``a``, ``b`` are the elapsed-time coordinates of the rule nodes and
     ``w`` their weights.  The integrand evaluated on an index tuple is the
-    closed-form Gaussian product expectation, assembled from precomputed
-    pairwise covariance entries; symmetry under simultaneous permutations
-    lets the sum run over index multisets with multiplicity factors.
+    closed-form Gaussian product expectation, assembled from pairwise
+    covariance entries; symmetry under simultaneous permutations lets the
+    sum run over index multisets with multiplicity factors.
     """
     m = w.size
     norm = (2.0 * math.pi * h) ** (-0.5 * n * d)
@@ -183,41 +186,87 @@ def _contract_gaussian(
         det = 1.0 + (raw_diag + _JITTER * raw_diag) / h
         vals = norm * det ** (-0.5 * d) * np.exp(-0.5 * off2 / (h * det))
         return float(np.dot(w, vals))
-    pair = (np.minimum(a[:, None], a[None, :]) + np.minimum(b[:, None], b[None, :])) / h
-    diag = raw_diag / h
-    total = 0.0
-    if n == 2:
-        for i in range(m):
-            jd = _JITTER * (raw_diag[i] + raw_diag[i:]) / (2.0 * h)
-            aa = 1.0 + diag[i] + jd
-            cc = 1.0 + diag[i:] + jd
-            bb = pair[i, i:]
-            det, qsum = det_qsum_2(aa, bb, cc)
-            vals = norm * det ** (-0.5 * d) * np.exp(-0.5 * off2 * qsum / h)
-            mult = np.full(m - i, 2.0)
-            mult[0] = 1.0
-            total += float(np.dot(w[i] * w[i:] * mult, vals))
-        return total
     if n == 3:
-        for i in range(m):
-            rest = m - i
-            jj, kk = np.triu_indices(rest)
-            j_idx = i + jj
-            k_idx = i + kk
-            jd = _JITTER * (raw_diag[i] + raw_diag[j_idx] + raw_diag[k_idx]) / (3.0 * h)
-            aa = 1.0 + diag[i] + jd
-            dd = 1.0 + diag[j_idx] + jd
-            ff = 1.0 + diag[k_idx] + jd
-            det, qsum = det_qsum_3(
-                aa, pair[i, j_idx], pair[i, k_idx], dd, pair[j_idx, k_idx], ff
-            )
-            vals = norm * det ** (-0.5 * d) * np.exp(-0.5 * off2 * qsum / h)
-            mult = np.where(
-                jj == 0, np.where(kk == 0, 1.0, 3.0), np.where(jj == kk, 3.0, 6.0)
-            )
-            total += float(np.dot(w[i] * w[j_idx] * w[k_idx] * mult, vals))
-        return total
-    raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
+        return norm * _contract_order3(a, b, w, h, d, off2)
+    if n != 2:
+        raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
+    one = 1.0 + raw_diag / h
+    total = 0.0
+    for i in range(m):
+        jd = _JITTER * (raw_diag[i] + raw_diag[i:]) / (2.0 * h)
+        # entries j >= i of row i of the pair covariance matrix
+        bb = (np.minimum(a[i], a[i:]) + np.minimum(b[i], b[i:])) / h
+        det, qsum = det_qsum_2(one[i] + jd, bb, one[i:] + jd)
+        vals = norm * det ** (-0.5 * d)
+        # exp(-0.0 * q) is exactly 1
+        if off2 != 0.0:
+            vals *= np.exp(-0.5 * off2 * qsum / h)
+        # multiplicity 1 for j = i, 2 for j > i
+        weights = w[i] * w[i:]
+        weights[1:] *= 2.0
+        total += float(np.dot(weights, vals))
+    return total
+
+
+def _contract_order3(a, b, w, h, d, off2) -> float:
+    """Order-3 multiset sum over i <= j <= k, without the normalisation.
+
+    Everything that depends on the pair j <= k alone is computed once, in
+    ``np.triu_indices`` order; the tuples of row i are then the suffix that
+    starts at the pair (i, i).  Its first m - i pairs have j = i and
+    multiplicity 1 (k = i) or 3; the rest have multiplicity 3 (j = k) or 6.
+    Each part of the suffix is summed in blocks of ``_BLOCK`` tuples
+    through preallocated buffers.
+    """
+    m = w.size
+    raw_diag = a + b
+    diag = raw_diag / h
+    jj, kk = np.triu_indices(m)
+    pair_jk = (np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])) / h
+    one_j = 1.0 + diag[jj]
+    one_k = 1.0 + diag[kk]
+    raw_jk = raw_diag[jj] + raw_diag[kk]
+    w_jk = w[jj] * w[kk]
+    head_w = w_jk * np.where(jj == kk, 1.0, 3.0)
+    rest_w = w_jk * np.where(jj == kk, 3.0, 6.0)
+    buffers = np.empty((8, min(_BLOCK, jj.size)))
+    power = -0.5 * d
+    total = 0.0
+    row_start = 0
+    for i in range(m):
+        pair_i = (np.minimum(a[i], a) + np.minimum(b[i], b)) / h
+        one_i = 1.0 + diag[i]
+        rest_start = row_start + m - i
+        acc = 0.0
+        for lo, hi, weights in (
+            (row_start, rest_start, head_w),
+            (rest_start, jj.size, rest_w),
+        ):
+            for pos in range(lo, hi, _BLOCK):
+                blk = slice(pos, min(pos + _BLOCK, hi))
+                jd, aa, bb, cc, dd, ff, det, qsum = buffers[:, : blk.stop - pos]
+                np.add(raw_diag[i], raw_jk[blk], out=jd)
+                jd *= _JITTER
+                jd /= 3.0 * h
+                np.add(one_i, jd, out=aa)
+                np.add(one_j[blk], jd, out=dd)
+                np.add(one_k[blk], jd, out=ff)
+                # indices are always in range; "clip" lets take write into
+                # out without an intermediate copy
+                np.take(pair_i, jj[blk], out=bb, mode="clip")
+                np.take(pair_i, kk[blk], out=cc, mode="clip")
+                det_qsum_3(aa, bb, cc, dd, pair_jk[blk], ff, out=(det, qsum))
+                np.power(det, power, out=det)
+                # exp(-0.0 * q) is exactly 1
+                if off2 != 0.0:
+                    qsum *= -0.5 * off2
+                    qsum /= h
+                    np.exp(qsum, out=qsum)
+                    det *= qsum
+                acc += float(np.dot(weights[blk], det))
+        total += w[i] * acc
+        row_start = rest_start
+    return float(total)
 
 
 def alpha_n_quadrature(
@@ -228,12 +277,16 @@ def alpha_n_quadrature(
     u0,
     tol: float,
     scale_floor: float = 0.0,
+    trace: list | None = None,
 ) -> float:
     """Chaos coefficient a_n by singularity-graded tensor quadrature.
 
     Refines the pair-rule ladder until successive values differ by less
     than ``tol`` relative to max(|value|, ``scale_floor``); raises
     NumericError with the last two iterates if the ladder is exhausted.
+    If ``trace`` is a list, one tuple (depth_u, depth_r, m, value, |delta|,
+    tol * scale) is appended to it per rung tried; |delta| is None on the
+    first rung.
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
@@ -246,7 +299,7 @@ def alpha_n_quadrature(
     # the integrand is symmetric under swapping (t, x) <-> (s, y); fix one
     # orientation so swapped queries give bit-identical values
     if t < s:
-        return alpha_n_quadrature(n, q.swapped(), k, f, u0, tol, scale_floor)
+        return alpha_n_quadrature(n, q.swapped(), k, f, u0, tol, scale_floor, trace)
     c2 = u0.value * u0.value
     off2 = q.offset_sq
     h = f.bandwidth
@@ -257,7 +310,11 @@ def alpha_n_quadrature(
         # elapsed times seen by the inner product are (t - u, s - v)
         raw = _contract_gaussian(t - u, s - v, w, n, h, d, off2)
         cur = c2 * raw
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), scale_floor):
+        delta = None if prev is None else abs(cur - prev)
+        bound = tol * max(abs(cur), scale_floor)
+        if trace is not None:
+            trace.append((depth_u, depth_r, w.size, cur, delta, bound))
+        if delta is not None and delta <= bound:
             return cur
         prev = cur
     raise NumericError(
@@ -281,13 +338,17 @@ def second_moment_series(
             order_terms=terms,
             tail_estimate=0.0,
             total=zeroth,
-            diagnostics={"orders_computed": 0},
+            diagnostics={"orders_computed": 0, "refinement": {}},
         )
     _require_closed_form(f, u0)
     terms = []
+    refinement = {}
     scale = abs(zeroth)
     for n in range(1, n_max + 1):
-        a_n = alpha_n_quadrature(n, q, k, f, u0, tol, scale_floor=scale)
+        refinement[n] = []
+        a_n = alpha_n_quadrature(
+            n, q, k, f, u0, tol, scale_floor=scale, trace=refinement[n]
+        )
         term = a_n / math.factorial(n)
         terms.append(term)
         scale += abs(term)
@@ -298,7 +359,7 @@ def second_moment_series(
         order_terms=terms,
         tail_estimate=tail,
         total=total,
-        diagnostics={"orders_computed": n_max},
+        diagnostics={"orders_computed": n_max, "refinement": refinement},
     )
 
 

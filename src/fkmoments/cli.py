@@ -12,7 +12,7 @@ byte-identical for identical config + seed, independent of ``--workers``
 (bench is the documented exception: it reports timings).
 
 Exit codes: 0 ok, 2 config error, 3 numeric/capability error,
-4 comparison or verification failure.
+4 comparison failed or inconclusive, or verification failure.
 """
 
 from __future__ import annotations
@@ -173,8 +173,12 @@ def _oracle_record(rc: RunConfig, series) -> dict:
         "command": "oracle",
         "zeroth_term": series.zeroth_term,
     }
+    refinement = series.diagnostics.get("refinement", {})
     for i, term in enumerate(series.order_terms, start=1):
         rec[f"order_{i}_term"] = term
+        if i in refinement:
+            rec[f"order_{i}_m"] = refinement[i][-1][2]
+            rec[f"order_{i}_rungs"] = len(refinement[i])
     rec["tail_estimate"] = series.tail_estimate
     rec["tail_is_heuristic"] = series.tail_is_heuristic
     rec["total"] = series.total
@@ -285,7 +289,11 @@ def oracle(**kwargs):
 @main.command()
 @_config_options
 def compare(**kwargs):
-    """Estimate and oracle side by side; verdict at |z| <= 3 plus tail."""
+    """Estimate and oracle side by side; verdict at |z| <= 3 plus tail.
+
+    The verdict is ``inconclusive`` (exit 4) when the oracle tail is
+    infinite, or the estimate has zero stderr yet differs from the oracle.
+    """
 
     def body():
         rc = _resolve(**kwargs)
@@ -294,7 +302,11 @@ def compare(**kwargs):
         diff = est.value - series.total
         tail = series.tail_estimate
         z = diff / est.stderr if est.stderr > 0 else (0.0 if diff == 0.0 else math.inf)
-        ok = abs(diff) <= 3.0 * est.stderr + tail
+        # an unbounded tail or a zero stderr against a nonzero difference
+        # leaves nothing to test the difference against
+        inconclusive = math.isinf(tail) or (est.stderr == 0.0 and diff != 0.0)
+        ok = not inconclusive and abs(diff) <= 3.0 * est.stderr + tail
+        verdict = "inconclusive" if inconclusive else ("pass" if ok else "fail")
         rec = {
             "schema_version": SCHEMA_VERSION,
             "command": "compare",
@@ -303,7 +315,7 @@ def compare(**kwargs):
             "value_oracle": series.total,
             "tail_estimate": tail,
             "z_score": z,
-            "verdict": "pass" if ok else "fail",
+            "verdict": verdict,
         }
         _emit([_with_config_echo(rec, rc)], rc)
         return ok

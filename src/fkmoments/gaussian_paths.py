@@ -175,16 +175,37 @@ def det_qsum_2(a, b, c):
     return det, (a + c - 2.0 * b) / det
 
 
-def det_qsum_3(a, b, c, d, e, f):
-    """det and ones' M^{-1} ones for symmetric [[a,b,c],[b,d,e],[c,e,f]]."""
-    c00 = d * f - e * e
-    c11 = a * f - c * c
-    c22 = a * d - b * b
-    c01 = -(b * f - c * e)
-    c02 = b * e - c * d
-    c12 = -(a * e - b * c)
-    det = a * c00 + b * c01 + c * c02
-    qsum = (c00 + c11 + c22 + 2.0 * (c01 + c02 + c12)) / det
+def det_qsum_3(a, b, c, d, e, f, out=None):
+    """det and ones' M^{-1} ones for symmetric [[a,b,c],[b,d,e],[c,e,f]].
+
+    ``out``, if given, is a pair of arrays that receive (det, qsum).  The
+    cofactors are updated in place; c01 = c e - b f and c12 = b c - a e
+    are the exact negations of b f - c e and a e - b c, so every result
+    rounds as in the plain expression tree.
+    """
+    det, qsum = (None, None) if out is None else out
+    c00 = d * f
+    c00 -= e * e
+    c11 = a * f
+    c11 -= c * c
+    c22 = a * d
+    c22 -= b * b
+    c01 = c * e
+    c01 -= b * f
+    c02 = b * e
+    c02 -= c * d
+    c12 = b * c
+    c12 -= a * e
+    det = np.multiply(a, c00, out=det)
+    det += b * c01
+    det += c * c02
+    c01 += c02
+    c01 += c12
+    c01 *= 2.0
+    c00 += c11
+    c00 += c22
+    c00 += c01
+    qsum = np.divide(c00, det, out=qsum)
     return det, qsum
 
 

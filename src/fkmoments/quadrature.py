@@ -21,9 +21,9 @@ grading would leave at the tip.  All weights are positive.
 
 Tensor products of one pair rule per coordinate pair discretize the
 2n-dimensional integrals behind the chaos coefficients; the integrands
-are symmetric under simultaneous permutation of the pairs, so the tensor
-sum is taken over index multisets with multiplicity factors, which
-divides the work by up to n!.
+are symmetric under simultaneous permutation of the pairs, so
+:mod:`fkmoments.chaos_oracle` takes the tensor sum over index multisets
+with multiplicity factors, which divides the work by up to n!.
 
 Simplex rules integrate a symmetric smooth integrand over the ordered
 sector 0 < t_1 < ... < t_n < t through the substitution
@@ -47,7 +47,6 @@ __all__ = [
     "gauss_jacobi_01",
     "eta_pair_rule",
     "eta_weight_total",
-    "contract_symmetric",
     "simplex_rule",
 ]
 
@@ -206,45 +205,6 @@ def eta_weight_total(hurst: float, t: float, s: float, depth_u: int = 12, depth_
     """Quadrature value of int_0^t int_0^s eta(u, v) dv du (g = 1)."""
     _, _, w = eta_pair_rule(hurst, t, s, depth_u, depth_r)
     return float(np.sum(w))
-
-
-# ---------------------------------------------------------------------------
-# symmetric tensor contraction
-# ---------------------------------------------------------------------------
-
-
-def contract_symmetric(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int, phi) -> float:
-    """sum over ordered index tuples of prod_j w_{i_j} * phi(tuple).
-
-    ``phi(U, V)`` takes arrays of shape (m, n) and must be symmetric under
-    simultaneous column permutations; the sum is then taken over index
-    multisets with the appropriate multiplicity (n! for distinct indices),
-    cutting the work by up to n!.  Accumulation order is deterministic.
-    """
-    m = w.size
-    if n == 1:
-        return float(np.dot(w, phi(u[:, None], v[:, None])))
-    if n == 2:
-        total = 0.0
-        for i in range(m):
-            uu = np.column_stack((np.full(m - i, u[i]), u[i:]))
-            vv = np.column_stack((np.full(m - i, v[i]), v[i:]))
-            mult = np.full(m - i, 2.0)
-            mult[0] = 1.0
-            total += float(np.dot(w[i] * w[i:] * mult, phi(uu, vv)))
-        return total
-    if n == 3:
-        total = 0.0
-        for i in range(m):
-            rest = m - i
-            jj, kk = np.triu_indices(rest)
-            uu = np.column_stack((np.full(jj.size, u[i]), u[i + jj], u[i + kk]))
-            vv = np.column_stack((np.full(jj.size, v[i]), v[i + jj], v[i + kk]))
-            mult = np.where(jj == 0, np.where(kk == 0, 1.0, 3.0), np.where(jj == kk, 3.0, 6.0))
-            wgt = w[i] * w[i + jj] * w[i + kk] * mult
-            total += float(np.dot(wgt, phi(uu, vv)))
-        return total
-    raise ValueError(f"symmetric contraction implemented for n <= 3, got {n}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ HEAT1 = HeatKernel(dim=1, bandwidth=1.0)
 CONST1 = Constant(1.0)
 
 
+@pytest.fixture(scope="module")
+def a6_series():
+    """The A6 query: n_max = 3 at t = s = 0.5, x = y = 0, H = 0.75, tol 1e-5."""
+    q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+    return second_moment_series(q, TemporalKernel(0.75), HEAT1, CONST1, 3, 1e-5)
+
+
 def alpha1_substitution_oracle(hurst, t, s, h, offset, nodes=80):
     """Independent route to the first chaos coefficient.
 
@@ -188,6 +195,7 @@ class TestSecondMomentSeries:
         assert res.total == res.zeroth_term == 4.0
         assert res.tail_estimate == 0.0
         assert res.order_terms == [0.0, 0.0, 0.0]
+        assert res.diagnostics["refinement"] == {}
 
     def test_degenerate_time_returns_initial_product(self):
         q = QueryPoint(t=0.0, s=0.0, x=(0.3,), y=(-0.4,))
@@ -215,6 +223,7 @@ class TestSecondMomentSeries:
         b = second_moment_series(q.swapped(), k, HEAT1, CONST1, 2, 1e-4)
         assert a.total == b.total
         assert a.order_terms == b.order_terms
+        assert a.diagnostics["refinement"] == b.diagnostics["refinement"]
 
     def test_translation_invariance_exact(self):
         k = TemporalKernel(0.8)
@@ -226,11 +235,24 @@ class TestSecondMomentSeries:
         )
         assert a.total == b.total
 
-    def test_golden_reference_configuration(self):
+    def test_golden_reference_configuration(self, a6_series):
         # frozen after ladder convergence at tol 1e-5; guards regressions
-        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
-        res = second_moment_series(q, TemporalKernel(0.75), HEAT1, CONST1, 3, 1e-5)
-        assert res.total == pytest.approx(1.1235476874500951, abs=5e-5)
+        assert a6_series.total == pytest.approx(1.1235476874500951, abs=5e-5)
+
+    def test_a6_refinement_trace(self, a6_series):
+        from fkmoments.chaos_oracle import _PAIR_LEVELS
+
+        refinement = a6_series.diagnostics["refinement"]
+        assert sorted(refinement) == [1, 2, 3]
+        for n, rungs in refinement.items():
+            assert [r[:2] for r in rungs] == _PAIR_LEVELS[n][: len(rungs)]
+            assert rungs[0][4] is None
+            # every rung but the last was rejected, the last accepted
+            assert all(r[4] > r[5] for r in rungs[1:-1])
+            assert rungs[-1][4] <= rungs[-1][5]
+            assert rungs[-1][3] / math.factorial(n) == a6_series.order_terms[n - 1]
+        # order 3 is accepted on its second rung, (1, 0), with m = 768
+        assert [r[:3] for r in refinement[3]] == [(0, 0, 512), (1, 0, 768)]
 
 
 class TestWhiteNoiseOrderTerm:

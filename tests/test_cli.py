@@ -128,6 +128,17 @@ class TestOracleCommand:
         assert rec["tail_is_heuristic"] is True
         assert rec["total"] > 1.0
 
+    def test_record_carries_refinement_summary(self):
+        args = ("oracle", "--set", "oracle.n_max=2", "--set", "oracle.tol=1e-4")
+        first = run_cli(*args)
+        assert first.exit_code == 0
+        rec = json.loads(first.stdout)
+        for n in (1, 2):
+            assert isinstance(rec[f"order_{n}_m"], int) and rec[f"order_{n}_m"] > 0
+            assert rec[f"order_{n}_rungs"] >= 2
+        assert "order_3_m" not in rec
+        assert run_cli(*args).stdout == first.stdout
+
     def test_riesz_capability_error_exits_3(self):
         result = run_cli("oracle", "--set", "kernel.spatial=riesz", "--set", "query.dim=2")
         assert result.exit_code == 3
@@ -144,6 +155,31 @@ class TestCompareCommand:
         rec = json.loads(result.stdout)
         assert rec["verdict"] == "pass"
         assert abs(rec["z_score"]) < 10
+
+    def test_infinite_tail_is_inconclusive(self):
+        # with one order the tail estimate is infinite, so any estimate
+        # would fall inside 3 sigma + tail
+        result = run_cli(
+            "compare", "--mode", "importance", "--set", "oracle.n_max=1", *FAST,
+        )
+        assert result.exit_code == 4
+        rec = json.loads(result.stdout)
+        assert rec["tail_estimate"] == "inf"
+        assert rec["verdict"] == "inconclusive"
+
+    def test_zero_stderr_with_nonzero_difference_is_inconclusive(self):
+        # at t s = 1e-6 all 2000 replicates have no Poisson points: the
+        # estimate is exactly e^{ts} with stderr 0, the oracle differs
+        result = run_cli(
+            "compare", "--mode", "importance", "--set", "query.t=1",
+            "--set", "query.s=1e-6", "--set", "oracle.n_max=2",
+            "--set", "estimator.replicates=2000",
+        )
+        assert result.exit_code == 4
+        rec = json.loads(result.stdout)
+        assert rec["stderr"] == 0.0
+        assert rec["value_mc"] != rec["value_oracle"]
+        assert rec["verdict"] == "inconclusive"
 
     def test_zero_kernel_trivial_pass(self):
         result = run_cli("compare", "--set", "kernel.spatial=zero", *FAST)

@@ -1,17 +1,37 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fkmoments import chaos_oracle
 from fkmoments.chaos_oracle import _contract_gaussian
 from fkmoments.gaussian_paths import gaussian_product_expectation_batch
 from fkmoments.quadrature import (
-    contract_symmetric,
     eta_pair_rule,
     gauss_jacobi_01,
     gauss_legendre_01,
     simplex_rule,
 )
+
+
+def dense_ordered_sum(a, b, w, n, h, d, off2):
+    """Sum over every ordered n-tuple of its weight product times the closed form.
+
+    Independent of the multiset enumeration: each tuple is evaluated by the
+    batched closed form, one first index at a time to bound memory.
+    """
+    m = w.size
+    rest = np.array(list(itertools.product(range(m), repeat=n - 1)), dtype=int)
+    rest = rest.reshape(m ** (n - 1), n - 1)
+    total = 0.0
+    for i in range(m):
+        idx = np.column_stack((np.full(len(rest), i), rest))
+        vals = gaussian_product_expectation_batch(a[idx], b[idx], h, d, off2)
+        total += float(np.dot(np.prod(w[idx], axis=1), vals))
+    return total
 
 
 class TestNodes:
@@ -64,58 +84,63 @@ class TestSymmetricContraction:
     def test_matches_dense_tensor_sum_n2(self):
         rng = np.random.default_rng(1)
         m = 40
-        u = rng.uniform(0, 1, m)
-        v = rng.uniform(0, 1, m)
+        a = rng.uniform(0, 1, m)
+        b = rng.uniform(0, 1, m)
         w = rng.uniform(0.1, 1, m)
-
-        def phi(uu, vv):
-            return np.exp(-np.sum(uu, axis=1)) * (1 + np.sum(vv, axis=1))
-
-        sym = contract_symmetric(u, v, w, 2, phi)
-        dense = 0.0
-        for i in range(m):
-            for j in range(m):
-                dense += w[i] * w[j] * float(
-                    phi(np.array([[u[i], u[j]]]), np.array([[v[i], v[j]]]))[0]
-                )
+        sym = _contract_gaussian(a, b, w, 2, 0.7, 1, 0.3)
+        dense = dense_ordered_sum(a, b, w, 2, 0.7, 1, 0.3)
         assert sym == pytest.approx(dense, rel=1e-12)
 
     def test_matches_dense_tensor_sum_n3(self):
         rng = np.random.default_rng(2)
         m = 12
-        u = rng.uniform(0, 1, m)
-        v = rng.uniform(0, 1, m)
+        a = rng.uniform(0, 1, m)
+        b = rng.uniform(0, 1, m)
         w = rng.uniform(0.1, 1, m)
-
-        def phi(uu, vv):
-            return 1.0 / (1.0 + np.sum(uu * vv, axis=1))
-
-        sym = contract_symmetric(u, v, w, 3, phi)
-        dense = 0.0
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    dense += w[i] * w[j] * w[k] * float(
-                        phi(
-                            np.array([[u[i], u[j], u[k]]]),
-                            np.array([[v[i], v[j], v[k]]]),
-                        )[0]
-                    )
+        sym = _contract_gaussian(a, b, w, 3, 1.3, 2, 0.5)
+        dense = dense_ordered_sum(a, b, w, 3, 1.3, 2, 0.5)
         assert sym == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_fast_path_matches_generic(self, n):
         t = s = 0.5
         u, v, w = eta_pair_rule(0.75, t, s, 1, 1)
-        # a thinned rule keeps the parity check cheap at n = 3
+        # a thinned rule keeps the dense check cheap at n = 3
         u, v, w = u[::9], v[::9], w[::9]
-
-        def phi(uu, vv):
-            return gaussian_product_expectation_batch(t - uu, s - vv, 1.0, 1, 0.3)
-
-        generic = contract_symmetric(u, v, w, n, phi)
+        dense = dense_ordered_sum(t - u, s - v, w, n, 1.0, 1, 0.3)
         fast = _contract_gaussian(t - u, s - v, w, n, 1.0, 1, 0.3)
-        assert fast == pytest.approx(generic, rel=1e-13)
+        assert fast == pytest.approx(dense, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d, off2", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)])
+    def test_block_size_leaves_the_sum_unchanged(self, monkeypatch, n, d, off2):
+        # m = 64: with blocks of 7, the j = i head of most rows spans
+        # several blocks, and the j > i rest of every early row many more
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 0, 0)
+        u, v, w = u[::8], v[::8], w[::8]
+        default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
+        monkeypatch.setattr(chaos_oracle, "_BLOCK", 7)
+        blocked = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
+        assert blocked == pytest.approx(default, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        nodes=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 1.0)),
+            min_size=1,
+            max_size=10,
+        ),
+        h=st.floats(0.2, 2.0),
+        d=st.integers(1, 2),
+        off2=st.floats(0.0, 1.0),
+    )
+    def test_matches_dense_sum_on_random_rules(self, n, nodes, h, d, off2):
+        # nodes are (elapsed t, elapsed s, weight) with weights drawn
+        # uniformly from [0.1, 1]
+        a, b, w = (np.array(col) for col in zip(*nodes))
+        dense = dense_ordered_sum(a, b, w, n, h, d, off2)
+        assert _contract_gaussian(a, b, w, n, h, d, off2) == pytest.approx(dense, rel=1e-12)
 
 
 class TestSimplexRule:
