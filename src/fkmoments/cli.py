@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import resource
 import sys
 import time
 import warnings
@@ -164,6 +165,7 @@ def _estimate_record(rc: RunConfig, est, command: str) -> dict:
     rec["abs_replicate_q999"] = diag.get("abs_replicate_q999", 0.0)
     rec["effective_sample_size"] = diag.get("effective_sample_size", 0.0)
     rec["singular_hits"] = diag.get("singular_hits", 0)
+    rec["variance_warning"] = diag.get("variance_warning")
     return _with_config_echo(rec, rc)
 
 
@@ -363,7 +365,9 @@ def bench(**kwargs):
     """Measure estimator throughput for the configured run.
 
     The record carries wall-clock timings, so unlike the other commands it
-    is not byte-reproducible.
+    is not byte-reproducible.  ``work_norm_var`` is stderr^2 x seconds
+    (lower is better: it does not reward cheap, noisy replicates), and
+    ``peak_rss_mb`` the process's peak resident set size so far.
     """
 
     def body():
@@ -381,6 +385,8 @@ def bench(**kwargs):
             "replicates_per_second": cfg.replicates / elapsed if elapsed > 0 else math.inf,
             "value": est.value,
             "stderr": est.stderr,
+            "work_norm_var": est.stderr * est.stderr * elapsed,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         _emit([_with_config_echo(rec, rc)], rc)
 

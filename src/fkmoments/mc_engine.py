@@ -19,21 +19,27 @@ eta_mass(t, s)/(t s), which removes the eta-factor variance entirely.
 The white-in-time representation averages over linear-Poisson jump times,
 with both paths evaluated at the same times, and reports e^{t} mean(V).
 
-Replicates are processed in fixed-size chunks whose generators are keyed
-by (seed, stream tag, chunk index); chunk results are combined in chunk
-order, so output is bit-identical for a given config no matter how many
-workers execute the chunks.  When the initial condition is constant its
-w-product is factored out of the replicate average, which keeps the
-bilinear scaling u0 -> c u0 exact at fixed seed.  Standard errors come
-from contiguous batch means (robust under the heavy-tailed replicate
-values that uniform mode and the Riesz kernel produce); the naive
-per-replicate standard error is also reported in diagnostics.
+One streaming engine, given a count law for K and a point law, runs all
+estimators.  Replicates are processed in fixed-size chunks whose
+generators are keyed by (seed, stream tag, chunk index).  Each chunk, in
+its worker thread, reduces its values to a fixed-size summary, which
+keeps its N - floor(0.999 (N - 1)) largest |v| so that the 0.999 quantile
+and the maximum of |v| stay exact.  Summaries are merged in chunk order,
+so output is bit-identical for a given config whatever the number of
+workers, and memory is O(chunk + replicates/1000).  When the initial
+condition is constant its w-product is factored out of the replicate
+average, which keeps the bilinear scaling u0 -> c u0 exact at fixed seed.
+Standard errors come from contiguous np.array_split batch means (robust
+under the heavy-tailed replicate values that uniform mode and the Riesz
+kernel produce); the naive per-replicate standard error is also reported
+in diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,13 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .gaussian_paths import brownian_batch_nd
-from .kernels import (
-    Constant,
-    SpatialKernel,
-    TemporalKernel,
-    ZeroKernel,
-    initial_field,
-)
+from .kernels import Constant, SpatialKernel, TemporalKernel, ZeroKernel, initial_field
 from .point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
 
 __all__ = [
@@ -69,6 +69,9 @@ _STREAM_INNER = 4
 # Singular kernel evaluations (Riesz exactly at the origin) have
 # probability zero; affected replicates are redrawn wholesale.
 _REDRAW_CAP = 64
+
+# level of the abs_replicate_q999 diagnostic
+_Q999 = 0.999
 
 
 @dataclass(frozen=True)
@@ -127,51 +130,134 @@ def _chunk_rng(seed: int, stream: int, chunk_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _run_chunks(total: int, workers: int, chunk_fn):
-    """Evaluate chunk_fn(chunk_idx, size) over fixed-size chunks, in order.
+def _batch_bounds(n: int, batch_count: int) -> np.ndarray:
+    """Start of each np.array_split(values, batch_count) batch, then n."""
+    each, extra = divmod(n, batch_count)
+    return np.cumsum([0] + [each + 1] * extra + [each] * (batch_count - extra))
 
-    Thread workers only change wall time, never results: the chunk layout
-    is fixed and outputs are collected by index.
+
+def _q999_position(n: int) -> tuple[int, float]:
+    """Lower rank and weight of np.quantile(a, 0.999) for n >= 2 values,
+    by numpy's linear-method arithmetic, operation for operation."""
+    virtual = n * _Q999 + (1.0 - _Q999) - 1.0
+    lower = math.floor(virtual)
+    return lower, virtual - lower
+
+
+def _largest(a: np.ndarray, keep: int) -> np.ndarray:
+    if a.size <= keep:
+        return a
+    # a copy: a slice would keep the whole partitioned array alive
+    return np.partition(a, a.size - keep)[a.size - keep :].copy()
+
+
+@dataclass
+class _Summary:
+    """Fixed-size reduction of n consecutive replicate values.
+
+    Row i of ``batch_sums`` is batch ``first_batch + i`` of the run's
+    np.array_split layout: column o <= M sums its values with K = o, the
+    last column all its values.  ``m2`` sums squared deviations from the
+    values' own mean; ``top`` holds as many of the largest |v| as the
+    run's 0.999 quantile needs.
     """
-    sizes = []
-    remaining = total
-    while remaining > 0:
-        sizes.append(min(CHUNK_SIZE, remaining))
-        remaining -= sizes[-1]
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(chunk_fn, i, n) for i, n in enumerate(sizes)]
-            return [fut.result() for fut in futures]
-    return [chunk_fn(i, n) for i, n in enumerate(sizes)]
+
+    batch_sums: np.ndarray
+    order_counts: np.ndarray
+    top: np.ndarray = field(default_factory=lambda: np.empty(0))
+    first_batch: int = 0
+    n: int = 0
+    sum_abs: float = 0.0
+    m2: float = 0.0
+    hits: int = 0
+
+    def absorb(self, part: _Summary, keep: int) -> None:
+        """Append the summary of the values that directly follow these."""
+        n = self.n + part.n
+        # pairwise update of the centred moment (Chan, Golub and LeVeque)
+        delta = part.mean() - (self.mean() if self.n else 0.0)
+        self.m2 += part.m2 + delta * delta * (self.n * part.n / n)
+        self.n = n
+        self.sum_abs += part.sum_abs
+        row = part.first_batch - self.first_batch
+        self.batch_sums[row : row + part.batch_sums.shape[0]] += part.batch_sums
+        self.order_counts += part.order_counts
+        self.top = _largest(np.concatenate((self.top, part.top)), keep)
+        self.hits += part.hits
+
+    def mean(self, order=-1) -> float:
+        """Mean of v times [K = order], or of v for the default."""
+        return float(self.batch_sums[:, order].sum()) / self.n
+
+    def batch_stderr(self, order=-1) -> float:
+        """Batch-means standard error of ``mean(order)``."""
+        means = self.batch_sums[:, order] / np.diff(_batch_bounds(self.n, len(self.batch_sums)))
+        return float(np.std(means, ddof=1) / math.sqrt(means.size))
 
 
-def _eta_raw(k: TemporalKernel, dt: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """eta without the diagonal guard; exact hits become inf and trigger
-    the replicate redraw path."""
-    gap = np.abs(dt - ds)
-    with np.errstate(divide="ignore"):
-        return k.alpha_h * gap ** (2.0 * k.hurst - 2.0)
+def _stream(cfg: EstimatorConfig, stream: int, draw_counts, evaluate, v0=0.0) -> _Summary:
+    """Summary of cfg.replicates replicate values, folded chunk by chunk.
+
+    ``draw_counts(rng, size)`` gives each replicate's point count K.  Those
+    with K = 0 take the value v0; the others are evaluated by
+    ``evaluate(K, g, rng)`` in groups of equal K, in increasing K.  Chunks
+    are summarised in worker threads and merged in chunk order, with at
+    most two chunks per worker in flight.
+    """
+    total = cfg.replicates
+    bounds = _batch_bounds(total, cfg.batch_count)
+    tracked = cfg.max_order_tracked + 1
+    keep = total - _q999_position(total)[0]
+
+    def summarise(idx: int, start: int) -> _Summary:
+        size = min(CHUNK_SIZE, total - start)
+        rng = _chunk_rng(cfg.seed, stream, idx)
+        counts = draw_counts(rng, size)
+        v = np.empty(size)
+        v[counts == 0] = v0
+        hits = 0
+        for kk in np.unique(counts[counts > 0]):
+            rows = np.nonzero(counts == kk)[0]
+            rest, h = _with_redraw(evaluate, int(kk), rows.size, rng)
+            v[rows] = rest
+            hits += h
+        first, last = np.searchsorted(bounds, [start, start + size - 1], side="right") - 1
+        cuts = np.concatenate(([0], bounds[first + 1 : last + 1] - start))
+        order_counts = np.bincount(counts, minlength=tracked)[:tracked]
+        # pairwise sums, as np.sum gives: a sequential sum (np.bincount
+        # with weights) drifts enough to move the batch-means stderr
+        batch_sums = np.zeros((cuts.size, tracked + 1))
+        batch_sums[:, -1] = np.add.reduceat(v, cuts)
+        for order in np.flatnonzero(order_counts):
+            batch_sums[:, order] = np.add.reduceat(np.where(counts == order, v, 0.0), cuts)
+        abs_v = np.abs(v)
+        return _Summary(
+            batch_sums=batch_sums,
+            order_counts=order_counts,
+            top=_largest(abs_v, keep),
+            first_batch=int(first),
+            n=size,
+            sum_abs=float(np.sum(abs_v)),
+            m2=float(np.sum(np.square(v - np.mean(v)))),
+            hits=hits,
+        )
+
+    acc = _Summary(np.zeros((cfg.batch_count, tracked + 1)), np.zeros(tracked, dtype=np.intp))
+    workers = cfg.effective_workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for idx, start in enumerate(range(0, total, CHUNK_SIZE)):
+            pending.append(pool.submit(summarise, idx, start))
+            if len(pending) == 2 * workers:
+                acc.absorb(pending.popleft().result(), keep)
+        for fut in pending:
+            acc.absorb(fut.result(), keep)
+    return acc
 
 
-def _w_product_constant(u0):
-    """c*c when the initial condition is constant, else None."""
-    if isinstance(u0, Constant):
-        return u0.value * u0.value
-    return None
-
-
-def _draw_points(mode, t, s, k, g, kk, rng):
-    """(taus, rhos) of shape (g, kk) for g replicates with kk points each."""
-    if mode == UNIFORM:
-        pts = rng.uniform(0.0, 1.0, size=(g, kk, 2))
-        return t * pts[..., 0], s * pts[..., 1]
-    pts = sample_eta_tilted(t, s, k, g * kk, rng)
-    return pts[:, 0].reshape(g, kk), pts[:, 1].reshape(g, kk)
-
-
-def _with_redraw(evaluate, g: int, rng: np.random.Generator):
+def _with_redraw(evaluate, kk: int, g: int, rng: np.random.Generator):
     """Evaluate g replicates, redrawing any that come back non-finite."""
-    rest = evaluate(g, rng)
+    rest = evaluate(kk, g, rng)
     hits = 0
     for _ in range(_REDRAW_CAP):
         bad = ~np.isfinite(rest)
@@ -179,53 +265,51 @@ def _with_redraw(evaluate, g: int, rng: np.random.Generator):
         if n_bad == 0:
             return rest, hits
         hits += n_bad
-        rest[bad] = evaluate(n_bad, rng)
+        rest[bad] = evaluate(kk, n_bad, rng)
     raise NumericError("persistent singular kernel evaluations; check inputs")
 
 
-def _batch_means_stderr(values: np.ndarray, batch_count: int) -> float:
-    means = np.array([b.mean() for b in np.array_split(values, batch_count)])
-    return float(np.std(means, ddof=1) / math.sqrt(batch_count))
-
-
-def _assemble(v_rest, counts, scale, wfac, cfg, extra_diagnostics) -> MomentEstimate:
-    """Statistics for estimates of the form wfac * scale * mean(v_rest).
+def _estimate(summary: _Summary, scale, wfac, cfg, variance_warning=None) -> MomentEstimate:
+    """Statistics for estimates of the form wfac * scale * mean(v).
 
     ``wfac`` is the factored-out constant w-product (None when the w
-    factors already sit inside ``v_rest``); ``scale`` the exponential
-    prefactor.
+    factors already sit inside v); ``scale`` the exponential prefactor.
     """
     amp = 1.0 if wfac is None else wfac
-    value = amp * (scale * float(np.mean(v_rest)))
-    stderr = abs(amp) * (scale * _batch_means_stderr(v_rest, cfg.batch_count))
-    naive = abs(amp) * (scale * float(np.std(v_rest, ddof=1) / math.sqrt(v_rest.size)))
-    per_order = {}
-    for n in range(cfg.max_order_tracked + 1):
-        masked = np.where(counts == n, v_rest, 0.0)
-        mean_n = amp * (scale * float(np.mean(masked)))
-        stderr_n = abs(amp) * (scale * _batch_means_stderr(masked, cfg.batch_count))
-        per_order[n] = (mean_n, stderr_n, int(np.count_nonzero(counts == n)))
-    residual = value - math.fsum(c[0] for c in per_order.values())
-    abs_scaled = np.abs(v_rest) * (abs(amp) * scale)
-    sum_abs = float(np.sum(np.abs(v_rest)))
-    sum_sq = float(np.sum(np.square(v_rest)))
-    ess = (sum_abs * sum_abs / sum_sq) if sum_sq > 0.0 else float(v_rest.size)
-    diagnostics = {
-        "max_abs_replicate": float(abs_scaled.max()) if abs_scaled.size else 0.0,
-        "abs_replicate_q999": float(np.quantile(abs_scaled, 0.999)),
-        "effective_sample_size": ess,
-        "naive_stderr": naive,
-        "singular_hits": 0,
-        "variance_warning": None,
+    n = summary.n
+    value = amp * (scale * summary.mean())
+    naive = abs(amp) * (scale * (math.sqrt(summary.m2 / (n - 1)) / math.sqrt(n)))
+    per_order = {
+        order: (
+            amp * (scale * summary.mean(order)),
+            abs(amp) * (scale * summary.batch_stderr(order)),
+            int(summary.order_counts[order]),
+        )
+        for order in range(cfg.max_order_tracked + 1)
     }
-    diagnostics.update(extra_diagnostics)
+    # np.quantile over the scaled |v|: scaling is monotone, so its order
+    # statistics are the scaled ones; then numpy's linear interpolation
+    lower, gamma = _q999_position(n)
+    below, above = (float(a) for a in np.sort(summary.top)[:2] * (abs(amp) * scale))
+    diff = above - below
+    q999 = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+    sum_sq = summary.m2 + n * summary.mean() ** 2
     return MomentEstimate(
         value=value,
-        stderr=stderr,
-        replicates_used=int(v_rest.size),
+        stderr=abs(amp) * (scale * summary.batch_stderr()),
+        replicates_used=n,
         per_order=per_order,
-        residual=residual,
-        diagnostics=diagnostics,
+        residual=value - math.fsum(c[0] for c in per_order.values()),
+        diagnostics={
+            "max_abs_replicate": float(summary.top.max() * (abs(amp) * scale)),
+            "abs_replicate_q999": q999,
+            "effective_sample_size": (
+                summary.sum_abs * summary.sum_abs / sum_sq if sum_sq > 0.0 else float(n)
+            ),
+            "naive_stderr": naive,
+            "singular_hits": summary.hits,
+            "variance_warning": variance_warning,
+        },
     )
 
 
@@ -271,74 +355,70 @@ def _value_at_max(paths: np.ndarray, times: np.ndarray, start: np.ndarray):
     return pos, t_star
 
 
+def _fractional_points(t: float, s: float, k: TemporalKernel, mode: str):
+    """Point law of the fractional representation: (g, kk, rng) -> taus and
+    rhos of shape (g, kk), and the eta product of each row."""
+    eta_const = k.mass(t, s) / (t * s)
+
+    def points(g, kk, rng):
+        if mode == UNIFORM:
+            pts = rng.uniform(0.0, 1.0, size=(g, kk, 2))
+            taus, rhos = t * pts[..., 0], s * pts[..., 1]
+            # eta without the diagonal guard: exact hits give inf and are redrawn
+            with np.errstate(divide="ignore"):
+                eta = k.alpha_h * np.abs((t - taus) - (s - rhos)) ** (2.0 * k.hurst - 2.0)
+            return taus, rhos, np.prod(eta, axis=1)
+        pts = sample_eta_tilted(t, s, k, g * kk, rng)
+        return pts[:, 0].reshape(g, kk), pts[:, 1].reshape(g, kk), eta_const**kk
+
+    return points
+
+
+def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
+    """(evaluate, wfac) for replicates whose paths start at x and y.
+
+    ``evaluate(kk, g, rng)`` gives the values of g replicates with kk
+    points each, whose elapsed times and temporal weight come from
+    ``points(g, kk, rng)``.  The values leave out the w-product wfac = c*c
+    when u0 is the constant c; otherwise wfac is None.
+    """
+    d = x.shape[0]
+    offset = x - y
+    wfac = u0.value * u0.value if isinstance(u0, Constant) else None
+
+    def evaluate(kk, g, rng):
+        taus, rhos, weight = points(g, kk, rng)
+        w1 = brownian_batch_nd(taus, d, rng)
+        w2 = brownian_batch_nd(rhos, d, rng)
+        rest = weight * np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
+        if wfac is None:
+            b1_star, tau_star = _value_at_max(w1, taus, x)
+            b2_star, rho_star = _value_at_max(w2, rhos, y)
+            rest = rest * initial_field(u0, t - tau_star, b1_star) * initial_field(
+                u0, s - rho_star, b2_star
+            )
+        return rest
+
+    return evaluate, wfac
+
+
 def estimate_second_moment_fractional(
     q, k: TemporalKernel, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment E[u_{t,x} u_{s,y}] via the planar-Poisson representation."""
     t, s = q.t, q.s
-    d = q.dim
-    if f.dim != d:
-        raise DomainError(f"kernel dimension {f.dim} != query dimension {d}")
+    if f.dim != q.dim:
+        raise DomainError(f"kernel dimension {f.dim} != query dimension {q.dim}")
+    w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if t * s == 0.0:
-        w_pair = float(initial_field(u0, t, q.x_arr)) * float(
-            initial_field(u0, s, q.y_arr)
-        )
         return _degenerate_estimate(w_pair, cfg)
-    offset = q.x_arr - q.y_arr
-    wfac = _w_product_constant(u0)
-    eta_const = k.mass(t, s) / (t * s)
-
-    def group_rest(kk):
-        def evaluate(g, rng):
-            taus, rhos = _draw_points(cfg.mode, t, s, k, g, kk, rng)
-            w1 = brownian_batch_nd(taus, d, rng)
-            w2 = brownian_batch_nd(rhos, d, rng)
-            f_prod = np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
-            if cfg.mode == UNIFORM:
-                eta_prod = np.prod(_eta_raw(k, t - taus, s - rhos), axis=1)
-            else:
-                eta_prod = eta_const**kk
-            rest = eta_prod * f_prod
-            if wfac is None:
-                b1_star, tau_star = _value_at_max(w1, taus, q.x_arr)
-                b2_star, rho_star = _value_at_max(w2, rhos, q.y_arr)
-                rest = rest * initial_field(u0, t - tau_star, b1_star) * initial_field(
-                    u0, s - rho_star, b2_star
-                )
-            return rest
-
-        return evaluate
-
-    def chunk(chunk_idx: int, size: int):
-        rng = _chunk_rng(cfg.seed, _STREAM_FRACTIONAL, chunk_idx)
-        counts = rng.poisson(t * s, size=size)
-        v = np.empty(size)
-        if wfac is not None:
-            v[counts == 0] = 1.0
-        else:
-            v[counts == 0] = float(initial_field(u0, t, q.x_arr)) * float(
-                initial_field(u0, s, q.y_arr)
-            )
-        hits = 0
-        for kk in np.unique(counts[counts > 0]):
-            rows = np.nonzero(counts == kk)[0]
-            rest, h = _with_redraw(group_rest(int(kk)), rows.size, rng)
-            v[rows] = rest
-            hits += h
-        return v, counts, hits
-
-    results = _run_chunks(cfg.replicates, cfg.effective_workers, chunk)
-    v_all = np.concatenate([r[0] for r in results])
-    k_all = np.concatenate([r[1] for r in results])
-    hits = sum(r[2] for r in results)
-    return _assemble(
-        v_all,
-        k_all,
-        math.exp(t * s),
-        wfac,
-        cfg,
-        {"singular_hits": hits, "variance_warning": _variance_warning(k, f, cfg.mode)},
+    points = _fractional_points(t, s, k, cfg.mode)
+    evaluate, wfac = _evaluator(t, s, q.x_arr, q.y_arr, f, u0, points)
+    v0 = w_pair if wfac is None else 1.0
+    summary = _stream(
+        cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate, v0
     )
+    return _estimate(summary, math.exp(t * s), wfac, cfg, _variance_warning(k, f, cfg.mode))
 
 
 def estimate_second_moment_white(
@@ -349,54 +429,22 @@ def estimate_second_moment_white(
         raise DomainError(f"time must be nonnegative, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.shape[0]
-    if f.dim != d:
-        raise DomainError(f"kernel dimension {f.dim} != point dimension {d}")
+    if f.dim != x.shape[0]:
+        raise DomainError(f"kernel dimension {f.dim} != point dimension {x.shape[0]}")
+    w_pair = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
     if t == 0.0:
-        w_pair = float(initial_field(u0, 0.0, x)) * float(initial_field(u0, 0.0, y))
         return _degenerate_estimate(w_pair, cfg)
-    offset = x - y
-    wfac = _w_product_constant(u0)
 
-    def group_rest(kk):
-        def evaluate(g, rng):
-            times = rng.uniform(0.0, t, size=(g, kk))
-            w1 = brownian_batch_nd(times, d, rng)
-            w2 = brownian_batch_nd(times, d, rng)
-            rest = np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
-            if wfac is None:
-                b1_last, t_last = _value_at_max(w1, times, x)
-                b2_last, _ = _value_at_max(w2, times, y)
-                rest = rest * initial_field(u0, t - t_last, b1_last) * initial_field(
-                    u0, t - t_last, b2_last
-                )
-            return rest
+    def shared_times(g, kk, rng):
+        times = rng.uniform(0.0, t, size=(g, kk))
+        return times, times, 1.0
 
-        return evaluate
-
-    def chunk(chunk_idx: int, size: int):
-        rng = _chunk_rng(cfg.seed, _STREAM_WHITE, chunk_idx)
-        counts = rng.poisson(t, size=size)
-        v = np.empty(size)
-        if wfac is not None:
-            v[counts == 0] = 1.0
-        else:
-            v[counts == 0] = float(initial_field(u0, t, x)) * float(
-                initial_field(u0, t, y)
-            )
-        hits = 0
-        for kk in np.unique(counts[counts > 0]):
-            rows = np.nonzero(counts == kk)[0]
-            rest, h = _with_redraw(group_rest(int(kk)), rows.size, rng)
-            v[rows] = rest
-            hits += h
-        return v, counts, hits
-
-    results = _run_chunks(cfg.replicates, cfg.effective_workers, chunk)
-    v_all = np.concatenate([r[0] for r in results])
-    k_all = np.concatenate([r[1] for r in results])
-    hits = sum(r[2] for r in results)
-    return _assemble(v_all, k_all, math.exp(t), wfac, cfg, {"singular_hits": hits})
+    evaluate, wfac = _evaluator(t, t, x, y, f, u0, shared_times)
+    v0 = w_pair if wfac is None else 1.0
+    summary = _stream(
+        cfg, _STREAM_WHITE, lambda rng, size: rng.poisson(t, size=size), evaluate, v0
+    )
+    return _estimate(summary, math.exp(t), wfac, cfg)
 
 
 def estimate_order_contribution(
@@ -412,46 +460,16 @@ def estimate_order_contribution(
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     t, s = q.t, q.s
-    d = q.dim
     w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if n == 0:
         return w_pair, 0.0
     if t * s == 0.0:
         return 0.0, 0.0
-    offset = q.x_arr - q.y_arr
-    wfac = _w_product_constant(u0)
-    eta_const = k.mass(t, s) / (t * s)
-
-    def evaluate(g, rng):
-        taus, rhos = _draw_points(cfg.mode, t, s, k, g, n, rng)
-        w1 = brownian_batch_nd(taus, d, rng)
-        w2 = brownian_batch_nd(rhos, d, rng)
-        f_prod = np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
-        if cfg.mode == UNIFORM:
-            eta_prod = np.prod(_eta_raw(k, t - taus, s - rhos), axis=1)
-        else:
-            eta_prod = eta_const**n
-        rest = eta_prod * f_prod
-        if wfac is None:
-            b1_star, tau_star = _value_at_max(w1, taus, q.x_arr)
-            b2_star, rho_star = _value_at_max(w2, rhos, q.y_arr)
-            rest = rest * initial_field(u0, t - tau_star, b1_star) * initial_field(
-                u0, s - rho_star, b2_star
-            )
-        return rest
-
-    def chunk(chunk_idx: int, size: int):
-        rng = _chunk_rng(cfg.seed, _STREAM_ORDER, chunk_idx)
-        rest, hits = _with_redraw(evaluate, size, rng)
-        return (rest,)
-
-    results = _run_chunks(cfg.replicates, cfg.effective_workers, chunk)
-    rest_all = np.concatenate([r[0] for r in results])
-    amp = 1.0 if wfac is None else wfac
-    scale = (t * s) ** n / math.factorial(n)
-    mean = amp * (scale * float(np.mean(rest_all)))
-    stderr = abs(amp) * (scale * _batch_means_stderr(rest_all, cfg.batch_count))
-    return mean, stderr
+    points = _fractional_points(t, s, k, cfg.mode)
+    evaluate, wfac = _evaluator(t, s, q.x_arr, q.y_arr, f, u0, points)
+    summary = _stream(cfg, _STREAM_ORDER, lambda rng, size: np.full(size, n), evaluate)
+    est = _estimate(summary, (t * s) ** n / math.factorial(n), wfac, cfg)
+    return est.value, est.stderr
 
 
 def estimate_inner_product_mc(
@@ -467,38 +485,15 @@ def estimate_inner_product_mc(
     s_times = np.asarray(s_times, dtype=float)
     if t_times.shape != s_times.shape or t_times.ndim != 1:
         raise DomainError("time lists must be one-dimensional and equal length")
-    d = q.dim
-    w_pair = float(initial_field(u0, q.t, q.x_arr)) * float(
-        initial_field(u0, q.s, q.y_arr)
-    )
+    w_pair = float(initial_field(u0, q.t, q.x_arr)) * float(initial_field(u0, q.s, q.y_arr))
     if t_times.size == 0:
         return w_pair, 0.0
     n = t_times.size
-    offset = q.x_arr - q.y_arr
-    wfac = _w_product_constant(u0)
-    t_star_idx = int(np.argmax(t_times))
-    s_star_idx = int(np.argmax(s_times))
 
-    def evaluate(g, rng):
-        w1 = brownian_batch_nd(np.broadcast_to(t_times, (g, n)), d, rng)
-        w2 = brownian_batch_nd(np.broadcast_to(s_times, (g, n)), d, rng)
-        rest = np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
-        if wfac is None:
-            b1_star = q.x_arr[None, :] + w1[:, t_star_idx, :]
-            b2_star = q.y_arr[None, :] + w2[:, s_star_idx, :]
-            rest = rest * initial_field(
-                u0, q.t - t_times[t_star_idx], b1_star
-            ) * initial_field(u0, q.s - s_times[s_star_idx], b2_star)
-        return rest
+    def fixed_times(g, kk, rng):
+        return np.broadcast_to(t_times, (g, kk)), np.broadcast_to(s_times, (g, kk)), 1.0
 
-    def chunk(chunk_idx: int, size: int):
-        rng = _chunk_rng(cfg.seed, _STREAM_INNER, chunk_idx)
-        rest, hits = _with_redraw(evaluate, size, rng)
-        return (rest,)
-
-    results = _run_chunks(cfg.replicates, cfg.effective_workers, chunk)
-    rest_all = np.concatenate([r[0] for r in results])
-    amp = 1.0 if wfac is None else wfac
-    mean = amp * float(np.mean(rest_all))
-    stderr = abs(amp) * _batch_means_stderr(rest_all, cfg.batch_count)
-    return mean, stderr
+    evaluate, wfac = _evaluator(q.t, q.s, q.x_arr, q.y_arr, f, u0, fixed_times)
+    summary = _stream(cfg, _STREAM_INNER, lambda rng, size: np.full(size, n), evaluate)
+    est = _estimate(summary, 1.0, wfac, cfg)
+    return est.value, est.stderr

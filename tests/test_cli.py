@@ -47,6 +47,12 @@ class TestEstimateCommand:
         b = run_cli("estimate", *FAST, "--seed", "7", "--workers", "4")
         assert a.stdout == b.stdout
 
+    def test_variance_warning_in_record(self):
+        base = ("estimate", *FAST, "--set", "kernel.hurst=0.75")
+        uniform = run_json(*base, "--mode", "uniform")
+        assert "importance mode" in uniform["variance_warning"]
+        assert run_json(*base, "--mode", "importance")["variance_warning"] is None
+
     def test_white_equation(self):
         rec = run_json("estimate", "--equation", "white", *FAST)
         assert rec["equation"] == "white"
@@ -284,3 +290,5 @@ class TestBenchCommand:
         rec = json.loads(result.stdout)
         assert rec["replicates_per_second"] > 0
         assert rec["wall_time_ms"] > 0
+        assert rec["peak_rss_mb"] > 0
+        assert rec["work_norm_var"] > 0

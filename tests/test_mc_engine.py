@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fkmoments import mc_engine
 from fkmoments import (
     Constant,
     DomainError,
@@ -293,3 +295,118 @@ class TestInnerProductMC:
             [0.5], [0.5], q, HEAT1, u0, EstimatorConfig(replicates=50_000, seed=44)
         )
         assert math.isfinite(mean) and stderr > 0
+
+
+_ESTIMATORS = {
+    "fractional": lambda cfg: estimate_second_moment_fractional(
+        Q0, K75, HEAT1, GaussianBump(amplitude=1.5, center=(0.2,), width=0.7), cfg
+    ),
+    "white": lambda cfg: estimate_second_moment_white(0.5, (0.0,), (0.1,), HEAT1, CONST1, cfg),
+    "order": lambda cfg: estimate_order_contribution(2, Q0, K75, HEAT1, CONST1, cfg),
+    "inner": lambda cfg: estimate_inner_product_mc(
+        [0.2, 0.7], [0.4, 0.1], QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.5,)), HEAT1, CONST1, cfg
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_worker_invariance_bitwise(name):
+    # 150_001 replicates: two full chunks and a ragged third
+    results = [
+        _ESTIMATORS[name](
+            EstimatorConfig(replicates=150_001, seed=61, mode="importance", workers=workers)
+        )
+        for workers in (1, 2, 3)
+    ]
+    assert results[0] == results[1] == results[2]
+
+
+def _dense_batch_stderr(values, batch_count):
+    means = np.array([b.mean() for b in np.array_split(values, batch_count)])
+    return float(np.std(means, ddof=1) / math.sqrt(batch_count))
+
+
+def _dense_reference(v, counts, scale, wfac, cfg):
+    """The statistics reduced from all replicate values at once."""
+    amp = 1.0 if wfac is None else wfac
+    value = amp * (scale * float(np.mean(v)))
+    per_order = {}
+    for n in range(cfg.max_order_tracked + 1):
+        masked = np.where(counts == n, v, 0.0)
+        mean_n = amp * (scale * float(np.mean(masked)))
+        stderr_n = abs(amp) * (scale * _dense_batch_stderr(masked, cfg.batch_count))
+        per_order[n] = (mean_n, stderr_n, int(np.count_nonzero(counts == n)))
+    abs_scaled = np.abs(v) * (abs(amp) * scale)
+    sum_abs = float(np.sum(np.abs(v)))
+    sum_sq = float(np.sum(np.square(v)))
+    return {
+        "value": value,
+        "stderr": abs(amp) * (scale * _dense_batch_stderr(v, cfg.batch_count)),
+        "residual": value - math.fsum(c[0] for c in per_order.values()),
+        "per_order": per_order,
+        "naive_stderr": abs(amp) * (scale * float(np.std(v, ddof=1) / math.sqrt(v.size))),
+        "effective_sample_size": sum_abs * sum_abs / sum_sq,
+        "max_abs_replicate": float(abs_scaled.max()),
+        "abs_replicate_q999": float(np.quantile(abs_scaled, 0.999)),
+    }
+
+
+class TestStreamingSummary:
+    """The chunk summaries, merged, against a reduction of the dense values."""
+
+    @pytest.mark.parametrize("wfac", [None, 1.7])
+    @pytest.mark.parametrize("batch_count", [7, 32])
+    def test_matches_dense_reference(self, monkeypatch, batch_count, wfac):
+        chunk = 1000
+        monkeypatch.setattr(mc_engine, "CHUNK_SIZE", chunk)
+        n, v0 = 10_007, 0.8
+        data = np.random.default_rng(batch_count)
+        # K up to about 9, above max_order_tracked; heavy-tailed signed values
+        counts = data.poisson(2.0, n)
+        values = data.standard_t(2.5, n)
+        values[counts == 0] = v0
+        cfg = EstimatorConfig(
+            replicates=n, seed=0, batch_count=batch_count, max_order_tracked=3, workers=2
+        )
+
+        def rows(rng):
+            # each chunk's generator is keyed by (stream, chunk index)
+            idx = rng.bit_generator.seed_seq.spawn_key[-1]
+            return slice(idx * chunk, (idx + 1) * chunk)
+
+        def evaluate(kk, g, rng):
+            block = rows(rng)
+            return values[block][counts[block] == kk]
+
+        summary = mc_engine._stream(cfg, 0, lambda rng, size: counts[rows(rng)], evaluate, v0)
+        est = mc_engine._estimate(summary, math.exp(0.3), wfac, cfg)
+        ref = _dense_reference(values, counts, math.exp(0.3), wfac, cfg)
+
+        for key in ("max_abs_replicate", "abs_replicate_q999"):
+            assert est.diagnostics[key] == ref[key]
+        assert [c[2] for c in est.per_order.values()] == [c[2] for c in ref["per_order"].values()]
+        assert sum(c[2] for c in est.per_order.values()) < n
+        rel = pytest.approx
+        assert est.value == rel(ref["value"], rel=1e-12)
+        assert est.stderr == rel(ref["stderr"], rel=1e-12)
+        assert est.residual == rel(ref["residual"], rel=1e-12)
+        for key in ("naive_stderr", "effective_sample_size"):
+            assert est.diagnostics[key] == rel(ref[key], rel=1e-12)
+        for order, (mean, stderr, _) in est.per_order.items():
+            assert mean == rel(ref["per_order"][order][0], rel=1e-12)
+            assert stderr == rel(ref["per_order"][order][1], rel=1e-12)
+
+
+def test_traced_allocation_does_not_grow_with_replicates():
+    def peak(replicates):
+        cfg = EstimatorConfig(replicates=replicates, seed=5, mode="importance", workers=2)
+        tracemalloc.start()
+        try:
+            estimate_second_moment_fractional(Q0, K75, HEAT1, CONST1, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500_000), peak(2_000_000)
+    assert large < 16 * 2**20
+    assert abs(large - small) < 4 * 2**20
