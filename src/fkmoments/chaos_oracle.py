@@ -255,9 +255,10 @@ def _contract_order3(a, b, w, h, d, off2) -> float:
                 # out without an intermediate copy
                 np.take(pair_i, jj[blk], out=bb, mode="clip")
                 np.take(pair_i, kk[blk], out=cc, mode="clip")
-                det_qsum_3(aa, bb, cc, dd, pair_jk[blk], ff, out=(det, qsum))
+                # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
+                qsum_out = qsum if off2 != 0.0 else None
+                det_qsum_3(aa, bb, cc, dd, pair_jk[blk], ff, out=(det, qsum_out))
                 np.power(det, power, out=det)
-                # exp(-0.0 * q) is exactly 1
                 if off2 != 0.0:
                     qsum *= -0.5 * off2
                     qsum /= h

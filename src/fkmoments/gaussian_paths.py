@@ -178,27 +178,31 @@ def det_qsum_2(a, b, c):
 def det_qsum_3(a, b, c, d, e, f, out=None):
     """det and ones' M^{-1} ones for symmetric [[a,b,c],[b,d,e],[c,e,f]].
 
-    ``out``, if given, is a pair of arrays that receive (det, qsum).  The
-    cofactors are updated in place; c01 = c e - b f and c12 = b c - a e
-    are the exact negations of b f - c e and a e - b c, so every result
-    rounds as in the plain expression tree.
+    ``out``, if given, is a pair of arrays that receive (det, qsum); when
+    its second entry is None, qsum is neither computed nor returned (None
+    in its place) and det is bitwise the same.  The cofactors are updated
+    in place; c01 = c e - b f and c12 = b c - a e are the exact negations
+    of b f - c e and a e - b c, so every result rounds as in the plain
+    expression tree.
     """
     det, qsum = (None, None) if out is None else out
     c00 = d * f
     c00 -= e * e
-    c11 = a * f
-    c11 -= c * c
-    c22 = a * d
-    c22 -= b * b
     c01 = c * e
     c01 -= b * f
     c02 = b * e
     c02 -= c * d
-    c12 = b * c
-    c12 -= a * e
     det = np.multiply(a, c00, out=det)
     det += b * c01
     det += c * c02
+    if out is not None and qsum is None:
+        return det, None
+    c11 = a * f
+    c11 -= c * c
+    c22 = a * d
+    c22 -= b * b
+    c12 = b * c
+    c12 -= a * e
     c01 += c02
     c01 += c12
     c01 *= 2.0

@@ -402,13 +402,17 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
     return evaluate, wfac
 
 
+def _require_query_dim(f: SpatialKernel, q) -> None:
+    if f.dim != q.dim:
+        raise DomainError(f"kernel dimension {f.dim} != query dimension {q.dim}")
+
+
 def estimate_second_moment_fractional(
     q, k: TemporalKernel, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment E[u_{t,x} u_{s,y}] via the planar-Poisson representation."""
     t, s = q.t, q.s
-    if f.dim != q.dim:
-        raise DomainError(f"kernel dimension {f.dim} != query dimension {q.dim}")
+    _require_query_dim(f, q)
     w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if t * s == 0.0:
         return _degenerate_estimate(w_pair, cfg)
@@ -459,6 +463,7 @@ def estimate_order_contribution(
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
+    _require_query_dim(f, q)
     t, s = q.t, q.s
     w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if n == 0:
@@ -485,6 +490,7 @@ def estimate_inner_product_mc(
     s_times = np.asarray(s_times, dtype=float)
     if t_times.shape != s_times.shape or t_times.ndim != 1:
         raise DomainError("time lists must be one-dimensional and equal length")
+    _require_query_dim(f, q)
     w_pair = float(initial_field(u0, q.t, q.x_arr)) * float(initial_field(u0, q.s, q.y_arr))
     if t_times.size == 0:
         return w_pair, 0.0

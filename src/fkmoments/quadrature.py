@@ -31,6 +31,15 @@ t_j = t prod_{k>=j} xi_k, whose Jacobian is t^n prod_k xi_k^(k-1); on the
 sector the min-structure of the integrand's covariance is fixed, so plain
 tensor Gauss-Legendre converges rapidly.
 
+Every Gauss rule here comes from one construction (Golub and Welsch,
+Math. Comp. 23, 1969): the n-point rule for the weight (1 + z)^beta on
+[-1, 1], beta = 0 being Gauss-Legendre, has as nodes the eigenvalues of
+the symmetric tridiagonal Jacobi matrix of the weight's three-term
+recurrence, and as weights mu_0 v_0^2, where v_0 is the first component
+of each unit eigenvector and mu_0 = 2^(beta + 1) / (beta + 1) is the
+weight's total mass.  numpy's symmetric eigensolver computes both, so no
+special-function library is needed.
+
 Cells are generated and summed in a fixed deterministic order, so every
 rule is bit-stable across runs.
 """
@@ -40,7 +49,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "gauss_legendre_01",
@@ -57,10 +65,27 @@ GL_ORDER = 8
 _MAX_GEOMETRIC_CELLS = 60
 
 
+def _golub_welsch(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [-1, 1] for the weight (1 + z)^beta.
+
+    The Jacobi matrix holds the recurrence coefficients of the Jacobi
+    polynomials P_k^(0, beta): diagonal beta^2 / ((2k + beta)(2k + beta + 2))
+    (beta / (beta + 2) at k = 0) and off-diagonal
+    2k(k + beta) / ((2k + beta) sqrt((2k + beta)^2 - 1)).
+    """
+    k = np.arange(1, order, dtype=float)
+    two_kb = 2.0 * k + beta
+    diag = np.append(beta / (beta + 2.0), beta**2 / (two_kb * (two_kb + 2.0)))
+    off = 2.0 * k * (k + beta) / (two_kb * np.sqrt(two_kb**2 - 1.0))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    z, v = np.linalg.eigh(jacobi)
+    return z, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_01(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = roots_legendre(order)
+    x, w = _golub_welsch(order, 0.0)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -71,7 +96,7 @@ def gauss_jacobi_01(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Derived from the Jacobi weight (1 + z)^beta on [-1, 1]:
     int_0^1 x^beta g(x) dx = sum w_i g(x_i) for polynomial g.
     """
-    z, w = roots_jacobi(order, 0.0, beta)
+    z, w = _golub_welsch(order, beta)
     return 0.5 * (z + 1.0), w * 0.5 ** (beta + 1.0)
 
 
@@ -218,9 +243,7 @@ def simplex_rule(n: int, t: float, points_per_dim: int) -> tuple[np.ndarray, np.
     Returns (T, w) with T of shape (M, n) holding ascending time tuples
     and w the matching weights, via t_j = t prod_{k >= j} xi_k.
     """
-    x, wx = roots_legendre(points_per_dim)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
+    x, wx = gauss_legendre_01(points_per_dim)
     grids = np.meshgrid(*([x] * n), indexing="ij")
     wgrids = np.meshgrid(*([wx] * n), indexing="ij")
     xi = np.stack([g.ravel() for g in grids], axis=1)  # (M, n)

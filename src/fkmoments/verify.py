@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .chaos_oracle import QueryPoint, inner_product_closed_form
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel
@@ -51,6 +50,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 def check_poisson_law(seed: int = DEFAULT_SEED, realizations: int = 100_000):
     """Counts over a rectangle are Poisson(area); disjoint counts decorrelate."""
+    # scipy is imported only here and in check_conditional_uniformity, so
+    # importing the package or its CLI does not load it
+    from scipy import stats
+
     rng = _rng(seed)
     r1 = Rectangle(0.0, 0.5, 0.0, 0.5)
     r2 = Rectangle(0.5, 1.0, 0.5, 1.0)
@@ -78,6 +81,8 @@ def check_conditional_uniformity(
     seed: int = DEFAULT_SEED, samples: int = 100_000, t: float = 1.0, s: float = 0.7, n: int = 2
 ):
     """Given K = n restricted points, (t - tau, s - rho) are i.i.d. uniform."""
+    from scipy import stats
+
     rng = _rng(seed)
     taus = []
     rhos = []

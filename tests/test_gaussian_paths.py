@@ -12,6 +12,7 @@ from fkmoments import (
 )
 from fkmoments.gaussian_paths import (
     brownian_batch_nd,
+    det_qsum_3,
     gaussian_product_expectation_batch,
 )
 
@@ -152,6 +153,25 @@ class TestGaussianProductExpectation:
                 for i in range(6)
             ]
             assert np.allclose(batch, scalar, rtol=1e-10)
+
+    def test_det_qsum_3_det_only_is_bitwise_equal(self):
+        # the entries of I + Sigma / h for random time triples, as the
+        # order-3 contraction builds them
+        rng = make_rng(13)
+        t = rng.uniform(0, 1, (4096, 3))
+        s = rng.uniform(0, 1, (4096, 3))
+        pair = np.minimum(t[:, :, None], t[:, None, :]) + np.minimum(s[:, :, None], s[:, None, :])
+        cov = np.eye(3) + pair / 0.7
+        args = [cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]]
+        det_full, qsum_full = det_qsum_3(*args)
+        buf_det, buf_q = np.empty(4096), np.empty(4096)
+        det_out, qsum_out = det_qsum_3(*args, out=(buf_det, buf_q))
+        only_buf = np.empty(4096)
+        det_only, no_qsum = det_qsum_3(*args, out=(only_buf, None))
+        assert no_qsum is None
+        assert det_only is only_buf and det_out is buf_det and qsum_out is buf_q
+        assert np.array_equal(det_only, det_full) and np.array_equal(det_out, det_full)
+        assert np.array_equal(qsum_out, qsum_full)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monte_carlo_consistency(self, n):

@@ -1,0 +1,43 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fkmoments
+
+# Importing the package and its CLI must not load scipy; only the verify
+# checks that need scipy.stats import it, when they run.
+_SCRIPT = """
+import json, sys
+import fkmoments, fkmoments.cli
+cold = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from fkmoments.verify import check_poisson_law
+checks = check_poisson_law(seed=7, realizations=2000)
+print(json.dumps({
+    "cold": cold,
+    "checks": [[c.name, c.statistic] for c in checks],
+    "stats_loaded": "scipy.stats" in sys.modules,
+}))
+"""
+
+
+def test_cold_import_loads_no_scipy():
+    src = str(Path(fkmoments.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["cold"] == []
+    assert out["stats_loaded"]
+    assert [name for name, _ in out["checks"]] == [
+        "chi-square-gof-pvalue",
+        "disjoint-count-correlation",
+    ]
+    assert all(0.0 <= stat <= 1.0 for _, stat in out["checks"])

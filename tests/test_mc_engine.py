@@ -249,6 +249,12 @@ class TestOrderContribution:
         oracle /= math.factorial(n)
         assert abs(mean - oracle) <= 3 * stderr
 
+    def test_kernel_dimension_must_match_query(self):
+        with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
+            estimate_order_contribution(
+                1, Q0, K75, HeatKernel(dim=2), CONST1, EstimatorConfig(replicates=1000, seed=34)
+            )
+
     def test_agrees_with_fractional_per_order(self):
         # the conditioned per-order track of the full estimator targets the
         # same quantity
@@ -275,6 +281,13 @@ class TestInnerProductMC:
         )
         assert mean == 0.0
         assert stderr == 0.0
+
+    def test_kernel_dimension_must_match_query(self):
+        q = QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.0,))
+        with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
+            estimate_inner_product_mc(
+                [0.5], [0.5], q, HeatKernel(dim=2), CONST1, EstimatorConfig(replicates=1000, seed=45)
+            )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_closed_form(self, n):

@@ -10,6 +10,7 @@ from fkmoments import chaos_oracle
 from fkmoments.chaos_oracle import _contract_gaussian
 from fkmoments.gaussian_paths import gaussian_product_expectation_batch
 from fkmoments.quadrature import (
+    GL_ORDER,
     eta_pair_rule,
     gauss_jacobi_01,
     gauss_legendre_01,
@@ -46,6 +47,44 @@ class TestNodes:
         x, w = gauss_jacobi_01(8, beta)
         for k in range(8):
             assert np.dot(w, x**k) == pytest.approx(1.0 / (beta + k + 1), rel=1e-12)
+
+
+# every Gauss-Legendre order the package builds
+_LEGENDRE_ORDERS = sorted({GL_ORDER, *chaos_oracle._SIMPLEX_LEVELS})
+# the H -> 1 and H -> 1/2 edges and the middle of beta = 2H - 2
+_JACOBI_BETAS = [-0.98, -0.5, -0.02]
+
+
+class TestGolubWelsch:
+    @pytest.mark.parametrize("order", _LEGENDRE_ORDERS)
+    def test_legendre_exact_to_degree_2n_minus_1(self, order):
+        x, w = gauss_legendre_01(order)
+        for k in range(2 * order):
+            assert np.dot(w, x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("beta", _JACOBI_BETAS)
+    def test_jacobi_exact_to_degree_2n_minus_1(self, beta):
+        x, w = gauss_jacobi_01(GL_ORDER, beta)
+        for k in range(2 * GL_ORDER):
+            assert np.dot(w, x**k) == pytest.approx(1.0 / (beta + k + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("order", _LEGENDRE_ORDERS)
+    def test_legendre_matches_scipy(self, order):
+        from scipy.special import roots_legendre
+
+        z, wz = roots_legendre(order)
+        x, w = gauss_legendre_01(order)
+        np.testing.assert_allclose(x, 0.5 * (z + 1.0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, 0.5 * wz, rtol=5e-12, atol=0)
+
+    @pytest.mark.parametrize("beta", _JACOBI_BETAS)
+    def test_jacobi_matches_scipy(self, beta):
+        from scipy.special import roots_jacobi
+
+        z, wz = roots_jacobi(GL_ORDER, 0.0, beta)
+        x, w = gauss_jacobi_01(GL_ORDER, beta)
+        np.testing.assert_allclose(x, 0.5 * (z + 1.0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, wz * 0.5 ** (beta + 1.0), rtol=5e-12, atol=0)
 
 
 class TestPairRule:
