@@ -12,13 +12,7 @@ from .chaos_oracle import (
     white_noise_order_term,
 )
 from .errors import CapabilityError, ConfigError, DomainError, NumericError
-from .gaussian_paths import (
-    DifferenceCovariance,
-    PathValues,
-    difference_covariance,
-    gaussian_product_expectation,
-    sample_brownian_at,
-)
+from .gaussian_paths import PathValues, sample_brownian_at
 from .kernels import (
     Constant,
     GaussianBump,
@@ -58,7 +52,6 @@ __all__ = [
     "CapabilityError",
     "ConfigError",
     "Constant",
-    "DifferenceCovariance",
     "DomainError",
     "EstimatorConfig",
     "GaussianBump",
@@ -78,12 +71,10 @@ __all__ = [
     "ZeroKernel",
     "alpha_n_quadrature",
     "count_rectangle",
-    "difference_covariance",
     "estimate_inner_product_mc",
     "estimate_order_contribution",
     "estimate_second_moment_fractional",
     "estimate_second_moment_white",
-    "gaussian_product_expectation",
     "heat_density",
     "initial_field",
     "inner_product_closed_form",

@@ -8,11 +8,17 @@ where a_n is a 2n-dimensional time integral of a product of temporal
 kernel factors against a spatial inner product of heat-propagator tensors.
 For the heat spatial kernel and constant initial data that inner product
 has the closed Gaussian form of
-:func:`fkmoments.gaussian_paths.gaussian_product_expectation`, and the
+:func:`fkmoments.gaussian_paths.gaussian_product_expectation_batch`, and the
 time integrals are evaluated with the singularity-absorbing pair rules of
 :mod:`fkmoments.quadrature`.  Orders are capped at n = 3 (a 2n-dimensional
 tensor quadrature is not a desk-scale computation beyond that); the
 remainder is covered by an explicitly heuristic geometric tail estimate.
+
+The contractions assemble the closed form from pairwise entries of
+I + Sigma/h.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
+diagonal jitter is added, repeated nodes included.  At order 3 the
+cofactors that depend only on a pair of nodes are computed once per rung
+(see :func:`_contract_order3`).
 
 Convergence is certified empirically: each order is refined until two
 successive refinements differ by less than ``tol`` relative to the larger
@@ -30,11 +36,9 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .gaussian_paths import (
-    _JITTER,
+    block_det,
     det_qsum_2,
     det_qsum_3,
-    difference_covariance,
-    gaussian_product_expectation,
     gaussian_product_expectation_batch,
 )
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel, initial_field
@@ -153,12 +157,18 @@ def inner_product_closed_form(t_times, s_times, q: QueryPoint, f, u0) -> float:
     _require_closed_form(f, u0, allow_zero=False)
     t_times = np.asarray(t_times, dtype=float)
     s_times = np.asarray(s_times, dtype=float)
+    if t_times.ndim != 1 or t_times.shape != s_times.shape:
+        raise DomainError("time lists must be one-dimensional and of equal length")
     c2 = u0.value * u0.value
     if t_times.size == 0:
         return c2
-    sigma = difference_covariance(t_times, s_times)
-    return c2 * gaussian_product_expectation(
-        sigma, f.bandwidth, q.dim, q.x_arr - q.y_arr
+    # a canonical order of the time pairs makes the value bitwise
+    # invariant under permutations of the input
+    order = np.lexsort((s_times, t_times))
+    return c2 * float(
+        gaussian_product_expectation_batch(
+            t_times[None, order], s_times[None, order], f.bandwidth, q.dim, q.offset_sq
+        )[0]
     )
 
 
@@ -181,22 +191,19 @@ def _contract_gaussian(
     """
     m = w.size
     norm = (2.0 * math.pi * h) ** (-0.5 * n * d)
-    raw_diag = a + b
-    if n == 1:
-        det = 1.0 + (raw_diag + _JITTER * raw_diag) / h
-        vals = norm * det ** (-0.5 * d) * np.exp(-0.5 * off2 / (h * det))
-        return float(np.dot(w, vals))
     if n == 3:
         return norm * _contract_order3(a, b, w, h, d, off2)
+    one = 1.0 + (a + b) / h
+    if n == 1:
+        vals = norm * one ** (-0.5 * d) * np.exp(-0.5 * off2 / (h * one))
+        return float(np.dot(w, vals))
     if n != 2:
         raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
-    one = 1.0 + raw_diag / h
     total = 0.0
     for i in range(m):
-        jd = _JITTER * (raw_diag[i] + raw_diag[i:]) / (2.0 * h)
         # entries j >= i of row i of the pair covariance matrix
         bb = (np.minimum(a[i], a[i:]) + np.minimum(b[i], b[i:])) / h
-        det, qsum = det_qsum_2(one[i] + jd, bb, one[i:] + jd)
+        det, qsum = det_qsum_2(one[i], bb, one[i:])
         vals = norm * det ** (-0.5 * d)
         # exp(-0.0 * q) is exactly 1
         if off2 != 0.0:
@@ -211,31 +218,47 @@ def _contract_gaussian(
 def _contract_order3(a, b, w, h, d, off2) -> float:
     """Order-3 multiset sum over i <= j <= k, without the normalisation.
 
-    Everything that depends on the pair j <= k alone is computed once, in
-    ``np.triu_indices`` order; the tuples of row i are then the suffix that
-    starts at the pair (i, i).  Its first m - i pairs have j = i and
-    multiplicity 1 (k = i) or 3; the rest have multiplicity 3 (j = k) or 6.
-    Each part of the suffix is summed in blocks of ``_BLOCK`` tuples
-    through preallocated buffers.
+    The tuple (i, j, k) has M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]],
+    and :func:`fkmoments.gaussian_paths.det_qsum_3` takes it as (a, b, c)
+    from row i and (e, p, q, c00) from the pair j <= k alone, with
+    e = Sigma_jk/h, p = f - e, q = d - e and c00 = d f - e^2 =
+    p q + e (p + q).  Those four are computed once per rung, in
+    ``np.triu_indices`` order; det >= 1 because Sigma is a covariance, so
+    no jitter is added.  The tuples of row i are the suffix that starts at
+    the pair (i, i).  Its first m - i pairs have j = i and multiplicity 1
+    (k = i) or 3; the rest have multiplicity 3 (j = k) or 6.  Each part of
+    the suffix is summed in blocks of ``_BLOCK`` tuples through
+    preallocated buffers.  Per pair, only e, p, q, c00, the two weight
+    arrays and the indices are kept: those eight arrays of m (m + 1) / 2
+    entries set the peak memory.
     """
     m = w.size
-    raw_diag = a + b
-    diag = raw_diag / h
+    one = 1.0 + (a + b) / h
     jj, kk = np.triu_indices(m)
-    pair_jk = (np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])) / h
-    one_j = 1.0 + diag[jj]
-    one_k = 1.0 + diag[kk]
-    raw_jk = raw_diag[jj] + raw_diag[kk]
-    w_jk = w[jj] * w[kk]
-    head_w = w_jk * np.where(jj == kk, 1.0, 3.0)
-    rest_w = w_jk * np.where(jj == kk, 3.0, 6.0)
-    buffers = np.empty((8, min(_BLOCK, jj.size)))
+    e = np.minimum(a[jj], a[kk])
+    e += np.minimum(b[jj], b[kk])
+    e /= h
+    p = one[kk]
+    p -= e
+    q = one[jj]
+    q -= e
+    c00 = block_det(e, p, q)
+    # multiplicities: head (j = i) 1 or 3, rest (j > i) 3 or 6, the
+    # smaller one where j = k
+    on_diag = np.flatnonzero(jj == kk)
+    head_w = w[jj]
+    head_w *= w[kk]
+    rest_w = head_w * 6.0
+    rest_w[on_diag] = head_w[on_diag] * 3.0
+    diag_w = head_w[on_diag]
+    head_w *= 3.0
+    head_w[on_diag] = diag_w
+    buffers = np.empty((4, min(_BLOCK, jj.size)))
     power = -0.5 * d
     total = 0.0
     row_start = 0
     for i in range(m):
         pair_i = (np.minimum(a[i], a) + np.minimum(b[i], b)) / h
-        one_i = 1.0 + diag[i]
         rest_start = row_start + m - i
         acc = 0.0
         for lo, hi, weights in (
@@ -244,27 +267,29 @@ def _contract_order3(a, b, w, h, d, off2) -> float:
         ):
             for pos in range(lo, hi, _BLOCK):
                 blk = slice(pos, min(pos + _BLOCK, hi))
-                jd, aa, bb, cc, dd, ff, det, qsum = buffers[:, : blk.stop - pos]
-                np.add(raw_diag[i], raw_jk[blk], out=jd)
-                jd *= _JITTER
-                jd /= 3.0 * h
-                np.add(one_i, jd, out=aa)
-                np.add(one_j[blk], jd, out=dd)
-                np.add(one_k[blk], jd, out=ff)
+                bb, cc, det, qsum = buffers[:, : blk.stop - pos]
                 # indices are always in range; "clip" lets take write into
                 # out without an intermediate copy
                 np.take(pair_i, jj[blk], out=bb, mode="clip")
                 np.take(pair_i, kk[blk], out=cc, mode="clip")
                 # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
                 qsum_out = qsum if off2 != 0.0 else None
-                det_qsum_3(aa, bb, cc, dd, pair_jk[blk], ff, out=(det, qsum_out))
-                np.power(det, power, out=det)
+                det_qsum_3(
+                    one[i], bb, cc, e[blk], p[blk], q[blk], c00[blk], out=(det, qsum_out)
+                )
+                # weight * det^(-d/2); sqrt and a division beat the power
+                if d == 1:
+                    np.sqrt(det, out=det)
+                    np.divide(weights[blk], det, out=det)
+                else:
+                    np.power(det, power, out=det)
+                    det *= weights[blk]
                 if off2 != 0.0:
-                    qsum *= -0.5 * off2
-                    qsum /= h
+                    qsum *= -0.5 * off2 / h
                     np.exp(qsum, out=qsum)
-                    det *= qsum
-                acc += float(np.dot(weights[blk], det))
+                    acc += float(np.dot(det, qsum))
+                else:
+                    acc += float(np.sum(det))
         total += w[i] * acc
         row_start = rest_start
     return float(total)
@@ -310,14 +335,13 @@ def alpha_n_quadrature(
         u, v, w = eta_pair_rule(k.hurst, t, s, depth_u, depth_r)
         # elapsed times seen by the inner product are (t - u, s - v)
         raw = _contract_gaussian(t - u, s - v, w, n, h, d, off2)
-        cur = c2 * raw
+        prev, cur = cur, c2 * raw
         delta = None if prev is None else abs(cur - prev)
         bound = tol * max(abs(cur), scale_floor)
         if trace is not None:
             trace.append((depth_u, depth_r, w.size, cur, delta, bound))
         if delta is not None and delta <= bound:
             return cur
-        prev = cur
     raise NumericError(
         f"order-{n} quadrature did not converge: last iterates {prev!r}, {cur!r}"
     )
@@ -386,14 +410,13 @@ def white_noise_order_term(
     off2 = float(np.sum((x - y) ** 2))
     c2 = u0.value * u0.value
     d = x.shape[0]
-    prev = None
+    prev = cur = None
     for m in _SIMPLEX_LEVELS:
         times, weights = simplex_rule(n, t, m)
         vals = gaussian_product_expectation_batch(times, times, f.bandwidth, d, off2)
-        cur = c2 * float(np.dot(weights, vals))
+        prev, cur = cur, c2 * float(np.dot(weights, vals))
         if prev is not None and abs(cur - prev) <= tol * max(abs(cur), scale_floor):
             return cur
-        prev = cur
     raise NumericError(
         f"white-noise order-{n} quadrature did not converge: last iterates {prev!r}, {cur!r}"
     )

@@ -12,7 +12,10 @@ vector with mean x - y and per-coordinate covariance
     Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k),
 
 and the expectation of a product of heat kernels of those differences has
-the closed form implemented by :func:`gaussian_product_expectation`.
+the closed form implemented by :func:`gaussian_product_expectation_batch`.
+Sigma is a covariance, so every eigenvalue of I + Sigma/h is at least 1:
+the closed form needs no diagonal jitter, even when times repeat and
+Sigma is singular.
 """
 
 from __future__ import annotations
@@ -22,21 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "PathValues",
-    "DifferenceCovariance",
     "sample_brownian_at",
-    "difference_covariance",
-    "gaussian_product_expectation",
     "gaussian_product_expectation_batch",
 ]
-
-# Relative diagonal jitter applied before factorization; repeated times make
-# Sigma singular and the closed form is continuous in Sigma, so this
-# perturbs results far below test tolerances.
-_JITTER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,162 +95,120 @@ def brownian_batch_nd(
     return out
 
 
-@dataclass(frozen=True)
-class DifferenceCovariance:
-    """Per-coordinate covariance of (B1_{t_j} - B2_{s_j})_j.
-
-    ``matrix`` is ordered like the input time lists; the time lists are
-    carried along so that downstream consumers can canonicalize ordering
-    (the closed-form expectation is permutation invariant and is made
-    bitwise so by sorting).
-    """
-
-    size: int
-    matrix: np.ndarray
-    t_times: np.ndarray
-    s_times: np.ndarray
-
-
-def difference_covariance(t_times, s_times) -> DifferenceCovariance:
-    """Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k) for equal-length lists."""
-    t_times = np.asarray(t_times, dtype=float)
-    s_times = np.asarray(s_times, dtype=float)
-    if t_times.shape != s_times.shape or t_times.ndim != 1 or t_times.size < 1:
-        raise DomainError("time lists must be one-dimensional, equal length, nonempty")
-    sig = np.minimum(t_times[:, None], t_times[None, :]) + np.minimum(
-        s_times[:, None], s_times[None, :]
-    )
-    return DifferenceCovariance(
-        size=t_times.size, matrix=sig, t_times=t_times, s_times=s_times
-    )
-
-
-def gaussian_product_expectation(
-    sigma: DifferenceCovariance, h: float, dim: int, offset
-) -> float:
-    """E[prod_j p_h(offset + Z_j)] for a centered Gaussian vector Z.
-
-    Z has independent coordinates, each with covariance ``sigma.matrix``.
-    The value is
-
-        (2 pi h)^(-n d / 2) det(I + Sigma/h)^(-d/2)
-            exp(-|offset|^2 ones' (h I + Sigma)^{-1} ones / 2),
-
-    computed from one Cholesky factorization of I + Sigma/h.  For n = 1
-    this reduces to the heat density p_{h+sigma}(offset), which serves as
-    its independent cross-check.
-    """
-    if h <= 0:
-        raise DomainError(f"bandwidth must be positive, got {h}")
-    n = sigma.size
-    # canonical simultaneous ordering of the time pairs makes the result
-    # bitwise invariant under input permutations
-    order = np.lexsort((sigma.s_times, sigma.t_times))
-    sig = sigma.matrix[np.ix_(order, order)]
-    jitter = _JITTER * np.trace(sig) / n
-    m = np.eye(n) + (sig + jitter * np.eye(n)) / h
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"covariance factorization failed: {exc}") from exc
-    half = np.linalg.solve(chol, np.ones(n))
-    quad_form = float(half @ half) / h
-    det = float(np.prod(np.diag(chol)) ** 2)
-    off2 = float(np.sum(np.square(np.asarray(offset, dtype=float))))
-    return (
-        (2.0 * math.pi * h) ** (-0.5 * n * dim)
-        * det ** (-0.5 * dim)
-        * math.exp(-0.5 * off2 * quad_form)
-    )
-
-
 def det_qsum_2(a, b, c):
     """det and ones' M^{-1} ones for symmetric [[a, b], [b, c]]."""
     det = a * c - b * b
     return det, (a + c - 2.0 * b) / det
 
 
-def det_qsum_3(a, b, c, d, e, f, out=None):
-    """det and ones' M^{-1} ones for symmetric [[a,b,c],[b,d,e],[c,e,f]].
+def block_det(e, p, q):
+    """c00 = d f - e^2 of the block [[d, e], [e, f]], as p q + e (p + q).
+
+    p = f - e and q = d - e.  For a block of I + Sigma/h, e >= 0 and
+    p, q >= 1 (Sigma_jk <= Sigma_kk), so the sum has no cancellation.
+    The result is built in place, with one temporary the size of ``e``.
+    """
+    c00 = p + q
+    c00 *= e
+    c00 += p * q
+    return c00
+
+
+def det_qsum_3(a, b, c, e, p, q, c00, out=None):
+    """det and ones' M^{-1} ones for symmetric M = [[a,b,c],[b,d,e],[c,e,f]].
+
+    M is passed through its first row (a, b, c), its entry e, p = f - e,
+    q = d - e and c00 = d f - e^2 (see :func:`block_det`); then
+
+        det  = a c00 - e (b - c)^2 - b^2 p - c^2 q,
+        qsum = (c00 + a (p + q) - 2 b p - 2 c q - (b - c)^2) / det.
+
+    Only a, b and c involve the first index, so a caller that fixes it
+    and varies the other two can compute (e, p, q, c00) once per pair.
+    For M = I + Sigma/h, with Sigma a covariance, det >= 1 and p, q >= 1,
+    so neither a pivot nor a diagonal jitter is needed.
 
     ``out``, if given, is a pair of arrays that receive (det, qsum); when
     its second entry is None, qsum is neither computed nor returned (None
-    in its place) and det is bitwise the same.  The cofactors are updated
-    in place; c01 = c e - b f and c12 = b c - a e are the exact negations
-    of b f - c e and a e - b c, so every result rounds as in the plain
-    expression tree.
+    in its place) and det is bitwise the same.
     """
     det, qsum = (None, None) if out is None else out
-    c00 = d * f
-    c00 -= e * e
-    c01 = c * e
-    c01 -= b * f
-    c02 = b * e
-    c02 -= c * d
+    diff2 = b - c
+    diff2 *= diff2
+    bp = b * p
+    cq = c * q
     det = np.multiply(a, c00, out=det)
-    det += b * c01
-    det += c * c02
+    tmp = e * diff2
+    det -= tmp
+    np.multiply(b, bp, out=tmp)
+    det -= tmp
+    np.multiply(c, cq, out=tmp)
+    det -= tmp
     if out is not None and qsum is None:
         return det, None
-    c11 = a * f
-    c11 -= c * c
-    c22 = a * d
-    c22 -= b * b
-    c12 = b * c
-    c12 -= a * e
-    c01 += c02
-    c01 += c12
-    c01 *= 2.0
-    c00 += c11
-    c00 += c22
-    c00 += c01
-    qsum = np.divide(c00, det, out=qsum)
+    # numerator: c00 + a (p + q) - 2 (b p + c q) - (b - c)^2
+    bp += cq
+    bp *= 2.0
+    np.add(p, q, out=cq)
+    cq *= a
+    cq += c00
+    cq -= bp
+    cq -= diff2
+    qsum = np.divide(cq, det, out=qsum)
     return det, qsum
 
 
 def gaussian_product_expectation_batch(
     t_mat: np.ndarray, s_mat: np.ndarray, h: float, dim: int, off_sq: float
 ) -> np.ndarray:
-    """Vectorized closed form over a batch of time-pair tuples.
+    """E[prod_j p_h(offset + Z_j)] over a batch of time-pair tuples.
 
-    ``t_mat`` and ``s_mat`` have shape (m, n); returns shape (m,).  Uses
-    cofactor formulas for n <= 3 and batched linear algebra beyond.  The
-    same diagonal jitter policy as the scalar route applies.
+    ``t_mat`` and ``s_mat`` have shape (m, n); row r describes a centred
+    Gaussian vector Z with independent coordinates, each with covariance
+    Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k) from that row.  Returns
+    shape (m,), the values
+
+        (2 pi h)^(-n d / 2) det(I + Sigma/h)^(-d/2)
+            exp(-|offset|^2 ones' (h I + Sigma)^{-1} ones / 2)
+
+    with ``off_sq`` = |offset|^2.  For n = 1 this is the heat density
+    p_{h+Sigma}(offset).  Cofactor formulas serve n <= 3 and batched
+    linear algebra beyond.  Every eigenvalue of I + Sigma/h is >= 1, so
+    the matrix is never singular, repeated times included.
     """
+    t_mat = np.asarray(t_mat, dtype=float)
+    s_mat = np.asarray(s_mat, dtype=float)
+    if t_mat.ndim != 2 or t_mat.shape != s_mat.shape or t_mat.shape[1] < 1:
+        raise DomainError(
+            "time matrices must be two-dimensional, of equal shape, with n >= 1 columns"
+        )
     m_count, n = t_mat.shape
-    diag = t_mat + s_mat
-    jit = _JITTER * np.sum(diag, axis=1) / n
+    one = 1.0 + (t_mat + s_mat) / h
+
+    def entry(j, k):
+        return (
+            np.minimum(t_mat[:, j], t_mat[:, k]) + np.minimum(s_mat[:, j], s_mat[:, k])
+        ) / h
+
     if n == 1:
-        det = 1.0 + (diag[:, 0] + jit) / h
+        det = one[:, 0]
         qsum = 1.0 / det
     elif n == 2:
-        a = 1.0 + (diag[:, 0] + jit) / h
-        c = 1.0 + (diag[:, 1] + jit) / h
-        b = (
-            np.minimum(t_mat[:, 0], t_mat[:, 1]) + np.minimum(s_mat[:, 0], s_mat[:, 1])
-        ) / h
-        det, qsum = det_qsum_2(a, b, c)
+        det, qsum = det_qsum_2(one[:, 0], entry(0, 1), one[:, 1])
     elif n == 3:
-        a = 1.0 + (diag[:, 0] + jit) / h
-        d = 1.0 + (diag[:, 1] + jit) / h
-        f = 1.0 + (diag[:, 2] + jit) / h
-        b = (
-            np.minimum(t_mat[:, 0], t_mat[:, 1]) + np.minimum(s_mat[:, 0], s_mat[:, 1])
-        ) / h
-        c = (
-            np.minimum(t_mat[:, 0], t_mat[:, 2]) + np.minimum(s_mat[:, 0], s_mat[:, 2])
-        ) / h
-        e = (
-            np.minimum(t_mat[:, 1], t_mat[:, 2]) + np.minimum(s_mat[:, 1], s_mat[:, 2])
-        ) / h
-        det, qsum = det_qsum_3(a, b, c, d, e, f)
+        e = entry(1, 2)
+        p = one[:, 2] - e
+        q = one[:, 1] - e
+        det, qsum = det_qsum_3(
+            one[:, 0], entry(0, 1), entry(0, 2), e, p, q, block_det(e, p, q)
+        )
     else:
         sig = np.minimum(t_mat[:, :, None], t_mat[:, None, :]) + np.minimum(
             s_mat[:, :, None], s_mat[:, None, :]
         )
         mm = sig / h
         idx = np.arange(n)
-        mm[:, idx, idx] += 1.0 + jit[:, None] / h
+        mm[:, idx, idx] += 1.0
         det = np.linalg.det(mm)
         sol = np.linalg.solve(mm, np.ones((m_count, n, 1)))[..., 0]
         qsum = np.sum(sol, axis=1)

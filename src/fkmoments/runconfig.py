@@ -13,6 +13,7 @@ fast with exit code 2 before any computation starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -113,9 +114,12 @@ class RunConfig:
 
     def _float(self, key: str) -> float:
         try:
-            return float(self.raw[key])
+            value = float(self.raw[key])
         except ValueError as exc:
             raise ConfigError(f"{key} must be a real number, got {self.raw[key]!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite real number, got {self.raw[key]!r}")
+        return value
 
     def _int(self, key: str) -> int:
         try:
@@ -139,6 +143,8 @@ class RunConfig:
             raise ConfigError(
                 f"{key} must be comma-separated reals, got {text!r}"
             ) from exc
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"{key} must be finite reals, got {text!r}")
         if len(vals) == 1 and dim > 1:
             vals = vals * dim
         if len(vals) != dim:

@@ -170,6 +170,20 @@ class TestAlphaQuadrature:
         with pytest.raises(NumericError):
             alpha_n_quadrature(1, q, TemporalKernel(0.75), HEAT1, CONST1, 1e-16)
 
+    def test_exhausted_ladder_reports_two_distinct_iterates(self):
+        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        calls = [
+            lambda: alpha_n_quadrature(1, q, TemporalKernel(0.75), HEAT1, CONST1, 1e-300),
+            lambda: white_noise_order_term(1, 0.5, (0.0,), (0.0,), HEAT1, CONST1, 1e-300),
+        ]
+        for call in calls:
+            with pytest.raises(NumericError) as info:
+                call()
+            last_two = str(info.value).split("last iterates ")[1].split(", ")
+            assert len(last_two) == 2
+            first, second = (float(v) for v in last_two)
+            assert first != second
+
     def test_monotone_refinement(self):
         # the reported value differs from the next refinement by < tol
         from fkmoments.chaos_oracle import _PAIR_LEVELS, _contract_gaussian

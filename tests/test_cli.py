@@ -37,6 +37,23 @@ class TestEstimateCommand:
         result = run_cli("estimate", "--set", "kernel.nonsense=1")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("oracle", "oracle.tol=nan"),
+            ("oracle", "u0.value=nan"),
+            ("estimate", "query.x=nan"),
+            ("estimate", "kernel.scale=nan"),
+            ("estimate", "kernel.bandwidth=inf"),
+        ],
+    )
+    def test_non_finite_real_exits_2(self, command, setting):
+        extra = ("--set", "kernel.spatial=poisson") if "scale" in setting else ()
+        result = run_cli(command, *FAST, *extra, "--set", setting)
+        assert result.exit_code == 2
+        assert setting.split("=")[0] in result.stderr
+        assert "finite" in result.stderr
+
     def test_byte_identical_repeat(self):
         a = run_cli("estimate", *FAST, "--seed", "7")
         b = run_cli("estimate", *FAST, "--seed", "7")

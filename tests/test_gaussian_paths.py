@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkmoments import (
+    Constant,
     DomainError,
-    difference_covariance,
-    gaussian_product_expectation,
+    HeatKernel,
+    QueryPoint,
     heat_density,
+    inner_product_closed_form,
     sample_brownian_at,
 )
 from fkmoments.gaussian_paths import (
+    block_det,
     brownian_batch_nd,
     det_qsum_3,
     gaussian_product_expectation_batch,
@@ -60,48 +65,94 @@ class TestBrownianSampling:
         assert np.array_equal(path.values[0], [1.0, -2.0])
 
 
+def closed_form(t, s, h, d, off2):
+    """The batched closed form at one time-pair tuple."""
+    return float(
+        gaussian_product_expectation_batch(
+            np.atleast_2d(t), np.atleast_2d(s), h, d, off2
+        )[0]
+    )
+
+
+def sigma_of(t, s):
+    """Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k) for one time-pair tuple."""
+    return np.minimum.outer(t, t) + np.minimum.outer(s, s)
+
+
+def dense_closed_form(sig, h, d, off2):
+    """The closed form from a dense det/solve of I + Sigma/h."""
+    n = len(sig)
+    mat = np.eye(n) + sig / h
+    qsum = float(np.sum(np.linalg.solve(mat, np.ones(n))))
+    return (
+        (2.0 * math.pi * h) ** (-0.5 * n * d)
+        * np.linalg.det(mat) ** (-0.5 * d)
+        * math.exp(-0.5 * off2 * qsum / h)
+    )
+
+
+def factored_entries(t, s, h):
+    """(a, b, c, e, p, q, c00) of I + Sigma/h for rows of time triples."""
+    one = 1.0 + (t + s) / h
+
+    def entry(j, k):
+        return (np.minimum(t[:, j], t[:, k]) + np.minimum(s[:, j], s[:, k])) / h
+
+    e = entry(1, 2)
+    p = one[:, 2] - e
+    q = one[:, 1] - e
+    return one[:, 0], entry(0, 1), entry(0, 2), e, p, q, block_det(e, p, q)
+
+
 class TestDifferenceCovariance:
+    # Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k) is read back from the
+    # closed form: at n = 1 it is the heat density p_{h + Sigma_00}
     def test_single_pair(self):
-        sig = difference_covariance([0.3], [0.6])
-        assert sig.matrix[0, 0] == pytest.approx(0.9)
+        val = closed_form([0.3], [0.6], 1.0, 1, 0.0)
+        assert val == pytest.approx(heat_density(1.0 + 0.9, 0.0), rel=1e-12)
 
     def test_two_by_two(self):
-        sig = difference_covariance([0.5, 0.5], [0.2, 0.8])
-        assert np.allclose(sig.matrix, [[0.7, 0.7], [0.7, 1.3]])
+        h, off2 = 0.8, 0.3
+        expected = dense_closed_form(np.array([[0.7, 0.7], [0.7, 1.3]]), h, 1, off2)
+        val = closed_form([0.5, 0.5], [0.2, 0.8], h, 1, off2)
+        assert val == pytest.approx(expected, rel=1e-12)
 
     def test_diagonal_is_sum_of_times(self):
         rng = make_rng(8)
         t = rng.uniform(0, 1, 5)
         s = rng.uniform(0, 1, 5)
-        sig = difference_covariance(t, s)
-        assert np.allclose(np.diag(sig.matrix), t + s)
+        vals = gaussian_product_expectation_batch(t[:, None], s[:, None], 0.7, 1, 0.0)
+        assert np.allclose(vals, heat_density(0.7 + t + s, np.zeros((5, 1))))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DomainError):
-            difference_covariance([], [])
+            gaussian_product_expectation_batch(np.empty((1, 0)), np.empty((1, 0)), 1.0, 1, 0.0)
         with pytest.raises(DomainError):
-            difference_covariance([0.1, 0.2], [0.3])
+            gaussian_product_expectation_batch(
+                np.array([[0.1, 0.2]]), np.array([[0.3]]), 1.0, 1, 0.0
+            )
+        q = QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.0,))
+        for t, s in (([0.1, 0.2], [0.3]), ([], [0.3])):
+            with pytest.raises(DomainError):
+                inner_product_closed_form(t, s, q, HeatKernel(dim=1), Constant(1.0))
 
-    def test_cholesky_succeeds_on_random_lists(self):
+    def test_closed_form_finite_on_repeated_times(self):
         rng = make_rng(9)
         for _ in range(100):
             n = int(rng.integers(1, 7))
             t = rng.uniform(0, 1, n)
             s = rng.uniform(0, 1, n)
-            # repeated times make Sigma singular; jitter policy must cope
+            # repeated times make Sigma singular; I + Sigma/h is not
             if n > 1:
                 t[1] = t[0]
                 s[1] = s[0]
-            val = gaussian_product_expectation(
-                difference_covariance(t, s), 1.0, 1, 0.0
-            )
+            val = closed_form(t, s, 1.0, 1, 0.0)
             assert math.isfinite(val) and val > 0
 
 
 class TestGaussianProductExpectation:
     def test_reference_value(self):
-        sig = difference_covariance([0.5], [0.5])
-        val = gaussian_product_expectation(sig, 1.0, 1, 0.0)
+        val = closed_form([0.5], [0.5], 1.0, 1, 0.0)
         assert val == pytest.approx(0.28209479177387814, rel=1e-10)
 
     def test_heat_density_identity(self):
@@ -112,19 +163,16 @@ class TestGaussianProductExpectation:
             h = rng.uniform(0.3, 2.0)
             d = int(rng.integers(1, 4))
             offset = rng.normal(size=d)
-            sig = difference_covariance([a], [b])
-            val = gaussian_product_expectation(sig, h, d, offset)
+            val = closed_form([a], [b], h, d, float(offset @ offset))
             assert val == pytest.approx(heat_density(h + a + b, offset), rel=1e-9)
 
     def test_degenerate_covariance_limit(self):
-        sig = difference_covariance([5e-13], [5e-13])
-        val = gaussian_product_expectation(sig, 0.7, 1, 0.4)
+        val = closed_form([5e-13], [5e-13], 0.7, 1, 0.4**2)
         assert val == pytest.approx(heat_density(0.7, 0.4), rel=1e-6)
 
     def test_offset_monotonicity(self):
-        sig = difference_covariance([0.4, 0.6], [0.3, 0.9])
         vals = [
-            gaussian_product_expectation(sig, 1.0, 1, r) for r in (0.0, 0.5, 1.0, 2.0)
+            closed_form([0.4, 0.6], [0.3, 0.9], 1.0, 1, r * r) for r in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -132,12 +180,12 @@ class TestGaussianProductExpectation:
         rng = make_rng(11)
         t = rng.uniform(0, 1, 4)
         s = rng.uniform(0, 1, 4)
-        base = gaussian_product_expectation(difference_covariance(t, s), 0.8, 2, 0.3)
+        q = QueryPoint(t=1.0, s=1.0, x=(0.3, 0.0), y=(0.0, 0.0))
+        f = HeatKernel(dim=2, bandwidth=0.8)
+        base = inner_product_closed_form(t, s, q, f, Constant(1.0))
         for _ in range(5):
             perm = rng.permutation(4)
-            val = gaussian_product_expectation(
-                difference_covariance(t[perm], s[perm]), 0.8, 2, 0.3
-            )
+            val = inner_product_closed_form(t[perm], s[perm], q, f, Constant(1.0))
             assert val == base
 
     def test_batch_matches_scalar(self):
@@ -146,23 +194,14 @@ class TestGaussianProductExpectation:
             t = rng.uniform(0, 1, (6, n))
             s = rng.uniform(0, 1, (6, n))
             batch = gaussian_product_expectation_batch(t, s, 0.9, 2, 0.25)
-            scalar = [
-                gaussian_product_expectation(
-                    difference_covariance(t[i], s[i]), 0.9, 2, (0.5, 0.0)
-                )
-                for i in range(6)
-            ]
+            scalar = [dense_closed_form(sigma_of(t[i], s[i]), 0.9, 2, 0.25) for i in range(6)]
             assert np.allclose(batch, scalar, rtol=1e-10)
 
     def test_det_qsum_3_det_only_is_bitwise_equal(self):
-        # the entries of I + Sigma / h for random time triples, as the
-        # order-3 contraction builds them
+        # the factored entries of I + Sigma / h for random time triples, as
+        # the order-3 contraction builds them
         rng = make_rng(13)
-        t = rng.uniform(0, 1, (4096, 3))
-        s = rng.uniform(0, 1, (4096, 3))
-        pair = np.minimum(t[:, :, None], t[:, None, :]) + np.minimum(s[:, :, None], s[:, None, :])
-        cov = np.eye(3) + pair / 0.7
-        args = [cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]]
+        args = factored_entries(rng.uniform(0, 1, (4096, 3)), rng.uniform(0, 1, (4096, 3)), 0.7)
         det_full, qsum_full = det_qsum_3(*args)
         buf_det, buf_q = np.empty(4096), np.empty(4096)
         det_out, qsum_out = det_qsum_3(*args, out=(buf_det, buf_q))
@@ -172,6 +211,23 @@ class TestGaussianProductExpectation:
         assert det_only is only_buf and det_out is buf_det and qsum_out is buf_q
         assert np.array_equal(det_only, det_full) and np.array_equal(det_out, det_full)
         assert np.array_equal(qsum_out, qsum_full)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        t_pool=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        s_pool=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        t_pick=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        s_pick=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        h=st.floats(0.05, 2.0),
+    )
+    def test_det_qsum_3_matches_linalg(self, t_pool, s_pool, t_pick, s_pick, h):
+        # picking from a pool of three repeats times; a pool entry may be 0
+        t = np.array([t_pool[i] for i in t_pick])
+        s = np.array([s_pool[i] for i in s_pick])
+        det, qsum = det_qsum_3(*factored_entries(t[None, :], s[None, :], h))
+        mat = np.eye(3) + sigma_of(t, s) / h
+        assert det[0] == pytest.approx(np.linalg.det(mat), rel=1e-12)
+        assert qsum[0] == pytest.approx(np.sum(np.linalg.solve(mat, np.ones(3))), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monte_carlo_consistency(self, n):
@@ -184,6 +240,7 @@ class TestGaussianProductExpectation:
         w1 = brownian_batch_nd(np.tile(t, (reps, 1)), 1, rng)
         w2 = brownian_batch_nd(np.tile(s, (reps, 1)), 1, rng)
         prods = np.prod(heat_density(1.0, (w1 - w2)), axis=1)
-        closed = gaussian_product_expectation(difference_covariance(t, s), 1.0, 1, 0.0)
+        closed = closed_form(t, s, 1.0, 1, 0.0)
         stderr = prods.std(ddof=1) / math.sqrt(reps)
         assert abs(prods.mean() - closed) <= 3 * stderr
+

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,30 @@ class TestSymmetricContraction:
         sym = _contract_gaussian(a, b, w, 3, 1.3, 2, 0.5)
         dense = dense_ordered_sum(a, b, w, 3, 1.3, 2, 0.5)
         assert sym == pytest.approx(dense, rel=1e-12)
+
+    def test_matches_dense_tensor_sum_n3_d3(self):
+        # d = 3 takes the det^(-d/2) power branch, with a nonzero offset
+        rng = np.random.default_rng(3)
+        m = 12
+        a = rng.uniform(0, 1, m)
+        b = rng.uniform(0, 1, m)
+        w = rng.uniform(0.1, 1, m)
+        sym = _contract_gaussian(a, b, w, 3, 0.6, 3, 0.4)
+        dense = dense_ordered_sum(a, b, w, 3, 0.6, 3, 0.4)
+        assert sym == pytest.approx(dense, rel=1e-12)
+
+    def test_order3_peak_memory_at_a6(self):
+        # one order-3 contraction on the A6 rung (1, 0): m = 768, about
+        # 295k pairs, so each per-pair array of floats takes 2.4 MB
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 1, 0)
+        assert w.size == 768
+        tracemalloc.start()
+        try:
+            _contract_gaussian(0.5 - u, 0.5 - v, w, 3, 1.0, 1, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 22e6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_fast_path_matches_generic(self, n):
