@@ -12,7 +12,6 @@ from .chaos_oracle import (
     white_noise_order_term,
 )
 from .errors import CapabilityError, ConfigError, DomainError, NumericError
-from .gaussian_paths import PathValues, sample_brownian_at
 from .kernels import (
     Constant,
     GaussianBump,
@@ -33,18 +32,7 @@ from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import (
-    PlanarRealization,
-    Rectangle,
-    RestrictedPointSample,
-    count_rectangle,
-    mc_hypercube_integral,
-    sample_global,
-    sample_linear_jump_times,
-    sample_restricted,
-    sample_restricted_importance,
-    sample_temporal_importance,
-)
+from .point_process import mc_hypercube_integral
 
 __version__ = "0.1.0"
 
@@ -58,19 +46,14 @@ __all__ = [
     "HeatKernel",
     "MomentEstimate",
     "NumericError",
-    "PathValues",
-    "PlanarRealization",
     "PoissonKernel",
     "QueryPoint",
-    "Rectangle",
-    "RestrictedPointSample",
     "RieszKernel",
     "SeriesResult",
     "SpatialKernel",
     "TemporalKernel",
     "ZeroKernel",
     "alpha_n_quadrature",
-    "count_rectangle",
     "estimate_inner_product_mc",
     "estimate_order_contribution",
     "estimate_second_moment_fractional",
@@ -79,12 +62,6 @@ __all__ = [
     "initial_field",
     "inner_product_closed_form",
     "mc_hypercube_integral",
-    "sample_brownian_at",
-    "sample_global",
-    "sample_linear_jump_times",
-    "sample_restricted",
-    "sample_restricted_importance",
-    "sample_temporal_importance",
     "second_moment_series",
     "truncation_tail",
     "white_noise_order_term",

@@ -51,6 +51,7 @@ __all__ = [
     "alpha_n_quadrature",
     "second_moment_series",
     "white_noise_order_term",
+    "white_noise_series",
     "truncation_tail",
 ]
 
@@ -400,13 +401,15 @@ def white_noise_order_term(
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise DomainError("query points x and y must share a dimension")
     if isinstance(f, ZeroKernel):
         return 0.0
     _require_closed_form(f, u0)
     if t == 0.0:
         return 0.0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     off2 = float(np.sum((x - y) ** 2))
     c2 = u0.value * u0.value
     d = x.shape[0]
@@ -419,6 +422,23 @@ def white_noise_order_term(
             return cur
     raise NumericError(
         f"white-noise order-{n} quadrature did not converge: last iterates {prev!r}, {cur!r}"
+    )
+
+
+def white_noise_series(t: float, x, y, f, u0, n_max: int, tol: float) -> SeriesResult:
+    """Zeroth term plus orders 1..n_max of the white-in-time series at
+    equal times t; unlike :func:`second_moment_series`, no scale floor."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    zeroth = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
+    orders = [
+        white_noise_order_term(n, t, x, y, f, u0, tol) for n in range(1, n_max + 1)
+    ] if t > 0.0 else [0.0] * n_max
+    return SeriesResult(
+        zeroth_term=zeroth,
+        order_terms=orders,
+        tail_estimate=truncation_tail(orders),
+        total=zeroth + math.fsum(orders),
     )
 
 

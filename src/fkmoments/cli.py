@@ -28,14 +28,9 @@ import warnings
 
 import click
 
-from .chaos_oracle import (
-    SeriesResult,
-    second_moment_series,
-    truncation_tail,
-    white_noise_order_term,
-)
+from .chaos_oracle import second_moment_series, white_noise_series
 from .errors import CapabilityError, ConfigError, DomainError, NumericError
-from .kernels import initial_field, warn_outside_existence_regime
+from .kernels import warn_outside_existence_regime
 from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
@@ -52,8 +47,8 @@ def main():
 
 
 def _config_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="Flat key = value configuration file.")(fn)
+    fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                      default=None, help="Flat key = value configuration file.")(fn)
     fn = click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
                       help="Override one configuration key (repeatable).")(fn)
     fn = click.option("--seed", type=int, default=None, help="Estimator seed.")(fn)
@@ -78,21 +73,16 @@ def _resolve(config_path, sets, seed, replicates, mode, equation, out_path, out_
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         set_layer[key.strip()] = value.strip()
-    flag_layer = {}
-    if seed is not None:
-        flag_layer["estimator.seed"] = seed
-    if replicates is not None:
-        flag_layer["estimator.replicates"] = replicates
-    if mode is not None:
-        flag_layer["estimator.mode"] = mode
-    if equation is not None:
-        flag_layer["equation"] = equation
-    if out_path is not None:
-        flag_layer["output.path"] = out_path
-    if out_format is not None:
-        flag_layer["output.format"] = out_format
-    if workers is not None:
-        flag_layer["workers"] = workers
+    flags = {
+        "estimator.seed": seed,
+        "estimator.replicates": replicates,
+        "estimator.mode": mode,
+        "equation": equation,
+        "output.path": out_path,
+        "output.format": out_format,
+        "workers": workers,
+    }
+    flag_layer = {key: value for key, value in flags.items() if value is not None}
     return RunConfig.resolve(file_values, set_layer, flag_layer)
 
 
@@ -130,8 +120,11 @@ def _emit(records, rc: RunConfig):
     if rc.output_path in ("-", ""):
         click.echo(text, nl=False)
     else:
-        with open(rc.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(rc.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"output.path: cannot write {rc.output_path!r}: {exc.strerror}") from exc
 
 
 def _with_config_echo(record: dict, rc: RunConfig) -> dict:
@@ -201,10 +194,6 @@ def _run_estimator(rc: RunConfig):
     if msg:
         click.echo(f"warning: {msg}", err=True)
     if rc.equation == "white":
-        if q.t != q.s:
-            raise ConfigError(
-                "equation=white computes equal-time moments; set query.t == query.s"
-            )
         est = estimate_second_moment_white(q.t, q.x, q.y, f, u0, cfg)
     else:
         est = estimate_second_moment_fractional(q, kernel, f, u0, cfg)
@@ -218,23 +207,7 @@ def _run_oracle(rc: RunConfig):
     f = rc.spatial_kernel()
     u0 = rc.initial_condition()
     if rc.equation == "white":
-        if q.t != q.s:
-            raise ConfigError(
-                "equation=white computes equal-time moments; set query.t == query.s"
-            )
-        zeroth = float(initial_field(u0, q.t, q.x_arr)) * float(
-            initial_field(u0, q.t, q.y_arr)
-        )
-        orders = [
-            white_noise_order_term(n, q.t, q.x, q.y, f, u0, rc.oracle_tol)
-            for n in range(1, rc.oracle_n_max + 1)
-        ] if q.t > 0.0 else [0.0] * rc.oracle_n_max
-        return SeriesResult(
-            zeroth_term=zeroth,
-            order_terms=orders,
-            tail_estimate=truncation_tail(orders),
-            total=zeroth + math.fsum(orders),
-        )
+        return white_noise_series(q.t, q.x, q.y, f, u0, rc.oracle_n_max, rc.oracle_tol)
     return second_moment_series(
         q,
         rc.temporal_kernel(),

@@ -1,9 +1,9 @@
 """Brownian path values and the Gaussian linear algebra behind the oracle.
 
 A d-dimensional Brownian path is only ever needed at finitely many times,
-so paths are sampled exactly: sort the times, draw independent Gaussian
-increments with variance equal to each gap, cumulatively sum, and restore
-the original order.
+so :func:`brownian_batch_nd` samples a batch of paths exactly: sort each
+row's times, draw independent Gaussian increments with variance equal to
+each gap, cumulatively sum, and restore the original order.
 
 For two independent paths B1 (from x) and B2 (from y) evaluated at times
 (t_j) and (s_j), the differences B1_{t_j} - B2_{s_j} form a Gaussian
@@ -21,59 +21,12 @@ Sigma is singular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "PathValues",
-    "sample_brownian_at",
-    "gaussian_product_expectation_batch",
-]
-
-
-@dataclass(frozen=True)
-class PathValues:
-    """Values of one d-dimensional Brownian path at a finite set of times.
-
-    ``times`` keeps the caller's order; ``values`` has shape (n, d) aligned
-    with it.  A queried time 0 returns the start point exactly.
-    """
-
-    start: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-
-
-def sample_brownian_at(
-    times, start, dim: int, rng: np.random.Generator
-) -> PathValues:
-    """Sample a standard d-dimensional Brownian path at the given times.
-
-    Times may be in arbitrary order (duplicates allowed); all must be
-    nonnegative.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise DomainError("times must be a one-dimensional sequence")
-    if np.any(times < 0.0):
-        raise DomainError("Brownian evaluation times must be nonnegative")
-    start_arr = np.atleast_1d(np.asarray(start, dtype=float))
-    if start_arr.shape != (dim,):
-        start_arr = np.broadcast_to(start_arr, (dim,)).copy()
-    n = times.size
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    gaps = np.diff(sorted_times, prepend=0.0)
-    incr = np.sqrt(gaps)[:, None] * rng.standard_normal((n, dim))
-    walk = np.cumsum(incr, axis=0)
-    values = np.empty((n, dim))
-    values[order] = start_arr[None, :] + walk
-    # exact start at time zero, untouched by roundoff
-    values[times == 0.0] = start_arr
-    return PathValues(start=start_arr, times=times, values=values)
+__all__ = ["brownian_batch_nd", "gaussian_product_expectation_batch"]
 
 
 def brownian_batch_nd(
@@ -82,7 +35,8 @@ def brownian_batch_nd(
     """Zero-start Brownian values at per-row time vectors.
 
     ``times`` has shape (m, k); rows are independent paths evaluated at
-    their own k times (any order).  Returns shape (m, k, dim).
+    their own k times (any order).  Returns shape (m, k, dim); a time 0
+    gives exactly 0.
     """
     m, k = times.shape
     order = np.argsort(times, axis=1, kind="stable")

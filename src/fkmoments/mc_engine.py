@@ -73,6 +73,10 @@ _REDRAW_CAP = 64
 # level of the abs_replicate_q999 diagnostic
 _Q999 = 0.999
 
+# Each tracked order costs a column per batch.  P(K > 20) < 1e-19 when
+# t s <= 1, so higher orders would only ever report empty columns.
+MAX_ORDER_TRACKED = 20
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -98,8 +102,14 @@ class EstimatorConfig:
             )
         if self.mode not in (UNIFORM, TEMPORAL_IMPORTANCE):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.max_order_tracked < 0 or self.workers < 0:
-            raise DomainError("max_order_tracked and workers must be nonnegative")
+        if not 0 <= self.max_order_tracked <= MAX_ORDER_TRACKED:
+            raise DomainError(
+                f"max_order_tracked must lie in 0..{MAX_ORDER_TRACKED}, got {self.max_order_tracked}"
+            )
+        if self.workers < 0:
+            raise DomainError(f"workers must be nonnegative, got {self.workers}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     @property
     def effective_workers(self) -> int:
@@ -124,9 +134,7 @@ class MomentEstimate:
 
 
 def _chunk_rng(seed: int, stream: int, chunk_idx: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(stream, chunk_idx)
-    )
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, chunk_idx))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -433,8 +441,10 @@ def estimate_second_moment_white(
         raise DomainError(f"time must be nonnegative, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if f.dim != x.shape[0]:
-        raise DomainError(f"kernel dimension {f.dim} != point dimension {x.shape[0]}")
+    if not f.dim == x.shape[0] == y.shape[0]:
+        raise DomainError(
+            f"kernel dimension {f.dim}, x dimension {x.shape[0]}, y dimension {y.shape[0]} differ"
+        )
     w_pair = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
     if t == 0.0:
         return _degenerate_estimate(w_pair, cfg)

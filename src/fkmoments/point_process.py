@@ -1,27 +1,25 @@
-"""Planar and linear Poisson processes.
+"""Point laws of the restricted planar Poisson process.
 
-Provides the global planar process on [0,1]^2 with rectangle counts, the
-restriction of the process to [0,t] x [0,s] (sampled directly, which is
-equivalent in law and cheaper than thinning a global realization), an
-importance-tilted sampler whose point density is proportional to
-eta(t-a, s-b), ordered jump times of the linear process, and the Monte
-Carlo evaluation of 2n-dimensional hypercube integrals through the planar
-count identity
+Restricted to [0,t] x [0,s], the rate-1 planar process has a Poisson(ts)
+count K and, given K, i.i.d. locations.  The replicate engine
+(:mod:`fkmoments.mc_engine`) draws both in batches; its tilted locations,
+with density proportional to eta(t-a, s-b), come from
+:func:`sample_eta_tilted`.  :func:`mc_hypercube_integral` evaluates
+2n-dimensional hypercube integrals through the planar count identity
 
     int_{[0,t]^n x [0,s]^n} F = n! e^{ts} E[F(t-tau_1, s-rho_1, ...) 1{K=n}]
 
-for symmetric F, where K is the number of restricted points.  The index
-sum behind this identity is read over unordered index sets, which is the
-reading consistent with (ts)^n = n! e^{ts} P(K = n).
+for symmetric F.  The index sum behind this identity is read over
+unordered index sets, which is the reading consistent with
+(ts)^n = n! e^{ts} P(K = n).
 
-Every sampler is a pure function of (parameters, generator); fixed seeds
-give bit-reproducible output.
+Both are pure functions of (parameters, generator); fixed seeds give
+bit-reproducible output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +27,9 @@ from .errors import DomainError, NumericError
 from .kernels import TemporalKernel
 
 __all__ = [
-    "PlanarRealization",
-    "Rectangle",
-    "RestrictedPointSample",
     "UNIFORM",
     "TEMPORAL_IMPORTANCE",
-    "sample_global",
-    "count_rectangle",
-    "sample_restricted",
-    "sample_restricted_importance",
-    "sample_temporal_importance",
-    "sample_linear_jump_times",
+    "sample_eta_tilted",
     "mc_hypercube_integral",
 ]
 
@@ -49,114 +39,6 @@ TEMPORAL_IMPORTANCE = "importance"
 # Loop cap for the rejection sampler; acceptance probability is bounded
 # away from zero so this is never reached in practice.
 _REJECTION_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class PlanarRealization:
-    """One draw of the planar Poisson process on [0,1]^2.
-
-    ``points`` has shape (X, 2) with X the Poisson-distributed total count;
-    the count field N_{t,s} counts points with tau_i <= t and rho_i <= s,
-    so it vanishes on the axes.
-    """
-
-    rate: float
-    points: np.ndarray
-
-    @property
-    def total_count(self) -> int:
-        return self.points.shape[0]
-
-    def count_at(self, t: float, s: float) -> int:
-        """Corner count N_{t,s}."""
-        p = self.points
-        return int(np.count_nonzero((p[:, 0] <= t) & (p[:, 1] <= s)))
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Half-open rectangle (a, b] x (c, d] inside [0,1]^2."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0 and 0.0 <= self.c < self.d <= 1.0):
-            raise DomainError(
-                f"invalid rectangle ({self.a},{self.b}]x({self.c},{self.d}]"
-            )
-
-    @property
-    def area(self) -> float:
-        return (self.b - self.a) * (self.d - self.c)
-
-
-@dataclass(frozen=True)
-class RestrictedPointSample:
-    """Points of a planar realization restricted to [0,t] x [0,s].
-
-    ``mode`` records how point locations were drawn: uniform, or tilted by
-    the temporal kernel.  In the tilted case each eta factor of the target
-    integrand is replaced by the constant ``per_point_weight`` =
-    eta_mass(t,s) / (t s); in the uniform case the weight is 1.
-    """
-
-    t: float
-    s: float
-    points: np.ndarray
-    mode: str = UNIFORM
-    per_point_weight: float = 1.0
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_global(rate: float, rng: np.random.Generator) -> PlanarRealization:
-    """Draw a planar Poisson realization on [0,1]^2 with the given rate.
-
-    Construction: X ~ Poisson(rate), then X i.i.d. points uniform on the
-    unit square, independent of X.
-    """
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    x = int(rng.poisson(rate))
-    pts = rng.uniform(0.0, 1.0, size=(x, 2))
-    return PlanarRealization(rate=rate, points=pts)
-
-
-def count_rectangle(pr: PlanarRealization, r: Rectangle) -> int:
-    """Number of points in (a,b] x (c,d] by corner inclusion-exclusion:
-    N_R = N_{a,c} + N_{b,d} - N_{a,d} - N_{b,c}.
-    """
-    return (
-        pr.count_at(r.a, r.c)
-        + pr.count_at(r.b, r.d)
-        - pr.count_at(r.a, r.d)
-        - pr.count_at(r.b, r.c)
-    )
-
-
-def sample_restricted(
-    t: float, s: float, rate: float, rng: np.random.Generator
-) -> RestrictedPointSample:
-    """Restriction of the rate-``rate`` planar process to [0,t] x [0,s].
-
-    Drawn directly: K ~ Poisson(rate t s) and, given K, i.i.d. uniform
-    locations on the rectangle.  Equivalent in law to restricting a global
-    realization by the Poisson restriction property.
-    """
-    if not (0.0 < t <= 1.0 and 0.0 < s <= 1.0):
-        raise DomainError(f"horizons must satisfy 0 < t, s <= 1, got t={t} s={s}")
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    k = int(rng.poisson(rate * t * s))
-    pts = rng.uniform(0.0, 1.0, size=(k, 2))
-    pts[:, 0] *= t
-    pts[:, 1] *= s
-    return RestrictedPointSample(t=t, s=s, points=pts, mode=UNIFORM)
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +139,9 @@ def sample_eta_tilted(
     return out
 
 
-def sample_temporal_importance(
-    t: float, s: float, kernel: TemporalKernel, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One point of the eta-tilted location distribution on [0,t] x [0,s]."""
-    pt = sample_eta_tilted(t, s, kernel, 1, rng)
-    return float(pt[0, 0]), float(pt[0, 1])
-
-
-def sample_restricted_importance(
-    t: float, s: float, kernel: TemporalKernel, rate: float, rng: np.random.Generator
-) -> RestrictedPointSample:
-    """Restricted sample with Poisson count and eta-tilted locations.
-
-    The count keeps its Poisson(rate t s) law; only locations are tilted.
-    ``per_point_weight`` carries the constant eta_mass(t,s)/(t s) that
-    replaces each eta factor of the target integrand.
-    """
-    if not (0.0 < t <= 1.0 and 0.0 < s <= 1.0):
-        raise DomainError(f"horizons must satisfy 0 < t, s <= 1, got t={t} s={s}")
-    k = int(rng.poisson(rate * t * s))
-    pts = sample_eta_tilted(t, s, kernel, k, rng)
-    return RestrictedPointSample(
-        t=t,
-        s=s,
-        points=pts,
-        mode=TEMPORAL_IMPORTANCE,
-        per_point_weight=kernel.mass(t, s) / (t * s),
-    )
-
-
 # ---------------------------------------------------------------------------
-# linear process and the hypercube integral identity
+# the hypercube integral identity
 # ---------------------------------------------------------------------------
-
-
-def sample_linear_jump_times(
-    t: float, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Ordered jump times of a rate-``rate`` Poisson process on [0, t].
-
-    N_t ~ Poisson(rate t); given N_t = n the times are the order statistics
-    of n i.i.d. uniforms on [0, t].
-    """
-    if t <= 0:
-        raise DomainError(f"horizon must be positive, got t={t}")
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    n = int(rng.poisson(rate * t))
-    return np.sort(rng.uniform(0.0, t, size=n))
 
 
 def mc_hypercube_integral(

@@ -6,19 +6,22 @@ repeatable ``--set key=value`` pairs and then by direct CLI flags; the
 fully resolved mapping is echoed into every emitted record, so a record
 can be replayed byte-identically by feeding its echo back in.
 
-All parameter-range invariants of the underlying domain objects are
-re-validated here with key-precise messages, so misconfigurations fail
-fast with exit code 2 before any computation starts.
+Each value is parsed here (type, finiteness, choice, coordinate count)
+and range-checked once, by the domain object built from it; a
+``DomainError`` is re-raised as a ``ConfigError`` that names the key.
+Only ``oracle.n_max``, ``oracle.tol`` and the white-noise equal-time
+rule have no domain object and are checked here.  Misconfigurations thus
+fail fast with exit code 2 before any computation starts.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-
 from .chaos_oracle import QueryPoint
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kernels import (
     Constant,
     GaussianBump,
@@ -60,6 +63,17 @@ DEFAULTS = {
     "output.path": "-",
     "workers": "1",
 }
+
+_INT_KEYS = (
+    "query.dim",
+    "estimator.replicates",
+    "estimator.seed",
+    "estimator.batches",
+    "estimator.max_order",
+    "oracle.n_max",
+    "workers",
+)
+_POINT_KEYS = ("query.x", "query.y", "u0.center")
 
 _CHOICES = {
     "equation": ("fractional", "white"),
@@ -135,7 +149,8 @@ class RunConfig:
             )
         return value
 
-    def _point(self, key: str, dim: int) -> tuple:
+    def _point(self, key: str) -> tuple:
+        dim = self._int("query.dim")
         text = self.raw[key]
         try:
             vals = tuple(float(part) for part in text.split(","))
@@ -153,105 +168,78 @@ class RunConfig:
             )
         return vals
 
+    def _value(self, key: str):
+        """The typed value of one key."""
+        if key in _CHOICES:
+            return self._choice(key)
+        if key == "output.path":
+            return self.raw[key]
+        if key in _POINT_KEYS:
+            return self._point(key)
+        if key in _INT_KEYS:
+            return self._int(key)
+        return self._float(key)
+
+    def _build(self, factory, **fields):
+        """factory(name=value of key, ...) for fields given as name=key; the
+        object's DomainError becomes a ConfigError naming keys, not names."""
+        try:
+            return factory(**{name: self._value(key) for name, key in fields.items()})
+        except DomainError as exc:
+            text = re.sub(r"\b(" + "|".join(fields) + r")\b", lambda m: fields[m[0]], str(exc))
+            raise ConfigError(text) from exc
+
     # -- validated views ----------------------------------------------------
 
     def validate(self) -> None:
-        self.equation
-        self.query()
-        self.temporal_kernel()
         self.spatial_kernel()
+        q = self.query()
+        if self.equation == "white" and q.t != q.s:
+            raise ConfigError("equation=white computes equal-time moments; set query.t == query.s")
+        self.temporal_kernel()
         self.initial_condition()
         self.estimator_config()
         self.oracle_n_max
         self.oracle_tol
-        self.output_format
-        if self._int("workers") < 0:
-            raise ConfigError("workers must be >= 0 (0 means machine parallelism)")
+        # parses the keys the views above skip (e.g. kernel.order for heat)
+        self.echo()
 
     @property
     def equation(self) -> str:
         return self._choice("equation")
 
     def query(self) -> QueryPoint:
-        dim = self._int("query.dim")
-        if dim < 1:
-            raise ConfigError(f"query.dim must be a positive integer, got {dim}")
-        t = self._float("query.t")
-        s = self._float("query.s")
-        if not (0.0 <= t <= 1.0 and 0.0 <= s <= 1.0):
-            raise ConfigError(
-                f"query.t and query.s must lie in [0, 1], got t={t} s={s}"
-            )
-        return QueryPoint(
-            t=t, s=s, x=self._point("query.x", dim), y=self._point("query.y", dim)
-        )
+        return self._build(QueryPoint, t="query.t", s="query.s", x="query.x", y="query.y")
 
     def temporal_kernel(self) -> TemporalKernel:
-        hurst = self._float("kernel.hurst")
-        if not 0.5 < hurst < 1.0:
-            raise ConfigError(
-                f"kernel.hurst must lie in the open interval (1/2, 1), got {hurst}"
-            )
-        return TemporalKernel(hurst=hurst)
+        return self._build(TemporalKernel, hurst="kernel.hurst")
 
     def spatial_kernel(self):
-        dim = self._int("query.dim")
         variant = self._choice("kernel.spatial")
         if variant == "heat":
-            bw = self._float("kernel.bandwidth")
-            if bw <= 0:
-                raise ConfigError(f"kernel.bandwidth must be positive, got {bw}")
-            return HeatKernel(dim=dim, bandwidth=bw)
+            return self._build(HeatKernel, dim="query.dim", bandwidth="kernel.bandwidth")
         if variant == "riesz":
-            order = self._float("kernel.order")
-            if not 0 < order < dim:
-                raise ConfigError(
-                    f"kernel.order must satisfy 0 < order < query.dim = {dim}, got {order}"
-                )
-            return RieszKernel(dim=dim, order=order)
+            return self._build(RieszKernel, dim="query.dim", order="kernel.order")
         if variant == "poisson":
-            scale = self._float("kernel.scale")
-            if scale <= 0:
-                raise ConfigError(f"kernel.scale must be positive, got {scale}")
-            return PoissonKernel(dim=dim, scale=scale)
-        return ZeroKernel(dim=dim)
+            return self._build(PoissonKernel, dim="query.dim", scale="kernel.scale")
+        return self._build(ZeroKernel, dim="query.dim")
 
     def initial_condition(self):
-        kind = self._choice("u0.kind")
-        if kind == "constant":
-            return Constant(value=self._float("u0.value"))
-        width = self._float("u0.width")
-        if width <= 0:
-            raise ConfigError(f"u0.width must be positive, got {width}")
-        dim = self._int("query.dim")
-        return GaussianBump(
-            amplitude=self._float("u0.amplitude"),
-            center=self._point("u0.center", dim),
-            width=width,
+        if self._choice("u0.kind") == "constant":
+            return self._build(Constant, value="u0.value")
+        return self._build(
+            GaussianBump, amplitude="u0.amplitude", center="u0.center", width="u0.width"
         )
 
     def estimator_config(self) -> EstimatorConfig:
-        replicates = self._int("estimator.replicates")
-        batches = self._int("estimator.batches")
-        max_order = self._int("estimator.max_order")
-        if batches < 2:
-            raise ConfigError(f"estimator.batches must be >= 2, got {batches}")
-        if replicates < batches:
-            raise ConfigError(
-                f"estimator.replicates ({replicates}) must be >= estimator.batches ({batches})"
-            )
-        if max_order < 0:
-            raise ConfigError(f"estimator.max_order must be >= 0, got {max_order}")
-        seed = self._int("estimator.seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"estimator.seed must be an unsigned 64-bit integer, got {seed}")
-        return EstimatorConfig(
-            replicates=replicates,
-            seed=seed,
-            mode=self._choice("estimator.mode"),
-            batch_count=batches,
-            max_order_tracked=max_order,
-            workers=self._int("workers"),
+        return self._build(
+            EstimatorConfig,
+            replicates="estimator.replicates",
+            seed="estimator.seed",
+            mode="estimator.mode",
+            batch_count="estimator.batches",
+            max_order_tracked="estimator.max_order",
+            workers="workers",
         )
 
     @property
@@ -288,22 +276,11 @@ class RunConfig:
         for key in DEFAULTS:
             if key == "workers":
                 continue
-            value = self.raw[key]
-            if key in _CHOICES or key in ("output.path",):
-                out[key] = str(value).strip().lower() if key in _CHOICES else str(value)
-            elif key in ("query.x", "query.y", "u0.center"):
-                dim = self._int("query.dim")
-                out[key] = ",".join(format_real(v) for v in self._point(key, dim))
-            elif key in (
-                "query.dim",
-                "estimator.replicates",
-                "estimator.seed",
-                "estimator.batches",
-                "estimator.max_order",
-                "oracle.n_max",
-                "workers",
-            ):
-                out[key] = str(self._int(key))
+            value = self._value(key)
+            if key in _POINT_KEYS:
+                out[key] = ",".join(format_real(v) for v in value)
+            elif isinstance(value, float):
+                out[key] = format_real(value)
             else:
-                out[key] = format_real(self._float(key))
+                out[key] = str(value)
         return out

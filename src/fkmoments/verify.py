@@ -16,17 +16,12 @@ from .chaos_oracle import QueryPoint, inner_product_closed_form
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel
 from .mc_engine import (
     EstimatorConfig,
+    _fractional_points,
     estimate_inner_product_mc,
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import (
-    Rectangle,
-    count_rectangle,
-    mc_hypercube_integral,
-    sample_global,
-    sample_restricted,
-)
+from .point_process import UNIFORM, mc_hypercube_integral
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -48,21 +43,29 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _rectangle_counts(points, owner, realizations, a, b, c, d):
+    """Per-realization counts of ``points`` in (a, b] x (c, d]; point i
+    belongs to realization ``owner[i]``."""
+    x, y = points[:, 0], points[:, 1]
+    inside = (x > a) & (x <= b) & (y > c) & (y <= d)
+    return np.bincount(owner[inside], minlength=realizations)
+
+
 def check_poisson_law(seed: int = DEFAULT_SEED, realizations: int = 100_000):
-    """Counts over a rectangle are Poisson(area); disjoint counts decorrelate."""
+    """Counts over a rectangle are Poisson(area); disjoint counts decorrelate.
+
+    The points of all rate-1 realizations on [0,1]^2 are drawn in one array.
+    """
     # scipy is imported only here and in check_conditional_uniformity, so
     # importing the package or its CLI does not load it
     from scipy import stats
 
     rng = _rng(seed)
-    r1 = Rectangle(0.0, 0.5, 0.0, 0.5)
-    r2 = Rectangle(0.5, 1.0, 0.5, 1.0)
-    c1 = np.empty(realizations, dtype=int)
-    c2 = np.empty(realizations, dtype=int)
-    for i in range(realizations):
-        pr = sample_global(1.0, rng)
-        c1[i] = count_rectangle(pr, r1)
-        c2[i] = count_rectangle(pr, r2)
+    totals = rng.poisson(1.0, size=realizations)
+    points = rng.uniform(0.0, 1.0, size=(int(totals.sum()), 2))
+    owner = np.repeat(np.arange(realizations), totals)
+    c1 = _rectangle_counts(points, owner, realizations, 0.0, 0.5, 0.0, 0.5)
+    c2 = _rectangle_counts(points, owner, realizations, 0.5, 1.0, 0.5, 1.0)
     lam = 0.25
     top = 3
     observed = np.bincount(np.minimum(c1, top), minlength=top + 1)
@@ -80,21 +83,16 @@ def check_poisson_law(seed: int = DEFAULT_SEED, realizations: int = 100_000):
 def check_conditional_uniformity(
     seed: int = DEFAULT_SEED, samples: int = 100_000, t: float = 1.0, s: float = 0.7, n: int = 2
 ):
-    """Given K = n restricted points, (t - tau, s - rho) are i.i.d. uniform."""
+    """Given K = n restricted points, (t - tau, s - rho) are i.i.d. uniform
+    under the replicate engine's uniform point law."""
     from scipy import stats
 
     rng = _rng(seed)
-    taus = []
-    rhos = []
-    for _ in range(samples):
-        sample = sample_restricted(t, s, 1.0, rng)
-        if sample.count == n:
-            taus.append(sample.points[:, 0])
-            rhos.append(sample.points[:, 1])
-    tau_tr = t - np.concatenate(taus)
-    rho_tr = s - np.concatenate(rhos)
-    p_tau = float(stats.kstest(tau_tr / t, "uniform").pvalue)
-    p_rho = float(stats.kstest(rho_tr / s, "uniform").pvalue)
+    hits = int(np.count_nonzero(rng.poisson(t * s, size=samples) == n))
+    points = _fractional_points(t, s, TemporalKernel(hurst=0.75), UNIFORM)
+    taus, rhos, _ = points(hits, n, rng)
+    p_tau = float(stats.kstest((t - taus.ravel()) / t, "uniform").pvalue)
+    p_rho = float(stats.kstest((s - rhos.ravel()) / s, "uniform").pvalue)
     return [
         CheckResult("conditional-uniformity", "ks-pvalue-first-coordinate", p_tau, ALPHA, p_tau > ALPHA, ">"),
         CheckResult("conditional-uniformity", "ks-pvalue-second-coordinate", p_rho, ALPHA, p_rho > ALPHA, ">"),

@@ -22,6 +22,7 @@ from fkmoments import (
     truncation_tail,
     white_noise_order_term,
 )
+from fkmoments.chaos_oracle import white_noise_series
 
 HEAT1 = HeatKernel(dim=1, bandwidth=1.0)
 CONST1 = Constant(1.0)
@@ -291,6 +292,26 @@ class TestWhiteNoiseOrderTerm:
         for n in (1, 2, 3):
             _, w = simplex_rule(n, 0.8, 12)
             assert np.sum(w) == pytest.approx(0.8**n / math.factorial(n), rel=1e-13)
+
+
+    def test_rejects_mismatched_point_dimensions(self):
+        with pytest.raises(DomainError, match="dimension"):
+            white_noise_order_term(1, 0.5, (0.0,), (0.0, 0.3), HEAT1, CONST1, 1e-5)
+
+
+class TestWhiteNoiseSeries:
+    def test_total_is_zeroth_plus_unfloored_orders(self):
+        u0 = Constant(1.3)
+        series = white_noise_series(0.6, (0.0,), (0.4,), HEAT1, u0, 3, 1e-5)
+        orders = [white_noise_order_term(n, 0.6, (0.0,), (0.4,), HEAT1, u0, 1e-5) for n in (1, 2, 3)]
+        assert series.order_terms == orders
+        assert series.zeroth_term == 1.3 * 1.3
+        assert series.total == 1.3 * 1.3 + math.fsum(orders)
+        assert series.tail_estimate == truncation_tail(orders)
+
+    def test_zero_time_skips_the_orders(self):
+        series = white_noise_series(0.0, (0.0,), (0.0,), RieszKernel(dim=2, order=1.0), CONST1, 2, 1e-5)
+        assert series.order_terms == [0.0, 0.0] and series.total == 1.0
 
 
 class TestTruncationTail:

@@ -54,6 +54,24 @@ class TestEstimateCommand:
         assert setting.split("=")[0] in result.stderr
         assert "finite" in result.stderr
 
+    def test_negative_workers_exits_2(self):
+        result = run_cli("estimate", *FAST, "--workers", "-1")
+        assert result.exit_code == 2
+        assert "workers" in result.stderr
+
+    @pytest.mark.parametrize("value", ["21", "100000000"])
+    def test_max_order_bound_exits_2(self, value):
+        result = run_cli("estimate", *FAST, "--set", f"estimator.max_order={value}")
+        assert result.exit_code == 2
+        assert "estimator.max_order" in result.stderr
+
+    def test_unwritable_output_path_exits_2(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        result = run_cli("estimate", *FAST, "--set", f"output.path={target}")
+        assert result.exit_code == 2
+        assert "output.path" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_byte_identical_repeat(self):
         a = run_cli("estimate", *FAST, "--seed", "7")
         b = run_cli("estimate", *FAST, "--seed", "7")
@@ -292,6 +310,12 @@ class TestConfigRoundTrip:
         bad.write_text("kernel.hurst 0.75\n")
         result = run_cli("estimate", "--config", str(bad))
         assert result.exit_code == 2
+
+    def test_missing_config_file_exits_2(self, tmp_path):
+        result = run_cli("estimate", "--config", str(tmp_path / "missing.cfg"))
+        assert result.exit_code == 2
+        assert "--config" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_comments_and_blanks_allowed(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -12,7 +12,6 @@ from fkmoments import (
     QueryPoint,
     heat_density,
     inner_product_closed_form,
-    sample_brownian_at,
 )
 from fkmoments.gaussian_paths import (
     block_det,
@@ -28,8 +27,11 @@ def make_rng(seed=0):
 
 class TestBrownianSampling:
     def test_time_zero_returns_start_exactly(self):
-        path = sample_brownian_at([0.0], (1.25,), 1, make_rng(1))
-        assert path.values[0, 0] == 1.25
+        # zero-start paths: a time 0 gives exactly 0, so start + value is
+        # exactly the start
+        w = brownian_batch_nd(np.tile([0.0, 0.4, 0.0], (1000, 1)), 1, make_rng(1))
+        assert np.all(w[:, [0, 2], 0] == 0.0)
+        assert np.all(1.25 + w[:, [0, 2], 0] == 1.25)
 
     def test_variance_at_time_one(self):
         rng = make_rng(2)
@@ -43,26 +45,23 @@ class TestBrownianSampling:
         assert abs(cov[0, 1] - 0.3) < 0.02
 
     def test_unsorted_times_restore_order(self):
-        rng = make_rng(4)
         times = [0.9, 0.1, 0.5]
-        path = sample_brownian_at(times, (0.0,), 1, rng)
-        assert path.times.tolist() == times
-        # increments over sorted order have the right signs of variance:
-        # resample many and check empirical increment variances
         reps = brownian_batch_nd(np.tile(times, (50_000, 1)), 1, make_rng(5))
+        # values come back in the caller's order: column j has variance t_j
+        assert np.allclose(reps[:, :, 0].var(axis=0), times, atol=0.02)
+        # increments over sorted order have the gaps as variances
         sorted_vals = reps[:, np.argsort(times), 0]
         incr = np.diff(sorted_vals, axis=1)
         assert abs(incr[:, 0].var() - 0.4) < 0.02  # 0.5 - 0.1
         assert abs(incr[:, 1].var() - 0.4) < 0.02  # 0.9 - 0.5
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            sample_brownian_at([-0.1], (0.0,), 1, make_rng(6))
-
     def test_multidimensional_start(self):
-        path = sample_brownian_at([0.0, 0.4], (1.0, -2.0), 2, make_rng(7))
-        assert path.values.shape == (2, 2)
-        assert np.array_equal(path.values[0], [1.0, -2.0])
+        w = brownian_batch_nd(np.tile([0.0, 0.4], (50_000, 1)), 2, make_rng(7))
+        assert w.shape == (50_000, 2, 2)
+        assert np.all(w[:, 0, :] == 0.0)
+        # independent coordinates, each with variance 0.4
+        assert np.allclose(w[:, 1, :].var(axis=0), 0.4, atol=0.02)
+        assert abs(np.corrcoef(w[:, 1, 0], w[:, 1, 1])[0, 1]) < 0.02
 
 
 def closed_form(t, s, h, d, off2):

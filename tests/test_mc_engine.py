@@ -181,12 +181,28 @@ class TestFractionalEstimator:
         with pytest.raises(DomainError):
             EstimatorConfig(replicates=100, seed=0, mode="nonsense")
 
+    def test_max_order_and_seed_ranges_validated(self):
+        EstimatorConfig(replicates=100, seed=2**64 - 1, max_order_tracked=mc_engine.MAX_ORDER_TRACKED)
+        for kwargs in ({"max_order_tracked": -1}, {"max_order_tracked": 21}, {"workers": -1}):
+            with pytest.raises(DomainError):
+                EstimatorConfig(replicates=100, seed=0, **kwargs)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match="seed"):
+                EstimatorConfig(replicates=100, seed=seed)
+
 
 class TestWhiteEstimator:
     def test_zero_kernel(self):
         cfg = EstimatorConfig(replicates=100_000, seed=20)
         est = estimate_second_moment_white(0.5, (0.0,), (0.0,), ZeroKernel(dim=1), CONST1, cfg)
         assert abs(est.value - 1.0) <= 3 * est.stderr
+
+    def test_rejects_mismatched_point_dimensions(self):
+        cfg = EstimatorConfig(replicates=100, seed=0)
+        with pytest.raises(DomainError, match="dimension"):
+            estimate_second_moment_white(0.5, (0.0,), (0.0, 0.3), HEAT1, CONST1, cfg)
+        with pytest.raises(DomainError, match="dimension"):
+            estimate_second_moment_white(0.5, (0.0, 0.0), (0.0, 0.3), HEAT1, CONST1, cfg)
 
     def test_small_time_limit(self):
         cfg = EstimatorConfig(replicates=100_000, seed=21)

@@ -1,165 +1,157 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fkmoments import (
+    Constant,
     DomainError,
-    Rectangle,
+    EstimatorConfig,
+    HeatKernel,
+    QueryPoint,
     TemporalKernel,
-    count_rectangle,
+    ZeroKernel,
+    estimate_second_moment_fractional,
+    estimate_second_moment_white,
     mc_hypercube_integral,
-    sample_global,
-    sample_linear_jump_times,
-    sample_restricted,
-    sample_restricted_importance,
-    sample_temporal_importance,
 )
-from fkmoments.point_process import sample_eta_tilted
+from fkmoments.mc_engine import _fractional_points
+from fkmoments.point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
+from fkmoments.verify import _rectangle_counts, check_conditional_uniformity, check_poisson_law
 
 ALPHA = 1e-3
+K75 = TemporalKernel(0.75)
 
 
 def make_rng(seed=7):
     return np.random.default_rng(seed)
 
 
+def order_counts(t, s, seed, replicates=100_000, max_order=12):
+    """Replicates with K = 0..max_order points in the fractional engine's
+    count law on [0,t] x [0,s] (a zero kernel keeps the run cheap)."""
+    q = QueryPoint(t=t, s=s, x=(0.0,), y=(0.0,))
+    cfg = EstimatorConfig(replicates=replicates, seed=seed, max_order_tracked=max_order)
+    est = estimate_second_moment_fractional(q, K75, ZeroKernel(dim=1), Constant(1.0), cfg)
+    return np.array([est.per_order[n][2] for n in range(max_order + 1)])
+
+
+def planar_points(rng, realizations, rate):
+    """All points of ``realizations`` planar Poisson realizations on
+    [0,1]^2, drawn as check_poisson_law draws them, and their owners."""
+    totals = rng.poisson(rate, size=realizations)
+    points = rng.uniform(0.0, 1.0, size=(int(totals.sum()), 2))
+    return points, np.repeat(np.arange(realizations), totals)
+
+
 class TestGlobalProcess:
     def test_count_statistics(self):
-        rng = make_rng(1)
-        counts = np.array([sample_global(1.0, rng).total_count for _ in range(100_000)])
-        assert abs(counts.mean() - 1.0) < 0.01
-        assert abs(np.mean(counts == 0) - math.exp(-1)) < 0.005
+        # restricted to the whole unit square, the count is the global one
+        counts = order_counts(1.0, 1.0, seed=1)
+        n = counts.sum()
+        assert abs(np.dot(np.arange(counts.size), counts) / n - 1.0) < 0.01
+        assert abs(counts[0] / n - math.exp(-1)) < 0.005
 
     def test_seed_reproducibility(self):
-        a = sample_global(2.0, make_rng(99))
-        b = sample_global(2.0, make_rng(99))
-        assert a.total_count == b.total_count
-        assert np.array_equal(a.points, b.points)
+        cfg = EstimatorConfig(replicates=20_000, seed=99)
+        a = estimate_second_moment_fractional(
+            QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.0,)), K75, HeatKernel(dim=1), Constant(1.0), cfg
+        )
+        b = estimate_second_moment_fractional(
+            QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.0,)), K75, HeatKernel(dim=1), Constant(1.0), cfg
+        )
+        assert a.value == b.value and a.stderr == b.stderr
+        assert a.per_order == b.per_order
 
     def test_points_inside_unit_square(self):
-        pr = sample_global(50.0, make_rng(3))
-        assert np.all((pr.points >= 0) & (pr.points <= 1))
+        taus, rhos, _ = _fractional_points(1.0, 1.0, K75, UNIFORM)(500, 4, make_rng(3))
+        assert taus.shape == rhos.shape == (500, 4)
+        assert np.all((taus >= 0) & (taus <= 1) & (rhos >= 0) & (rhos <= 1))
 
     def test_vanishes_on_axes(self):
-        pr = sample_global(50.0, make_rng(4))
-        assert pr.count_at(0.0, 0.7) == 0
-        assert pr.count_at(0.7, 0.0) == 0
+        assert order_counts(0.0, 0.7, seed=4, replicates=1000)[0] == 1000
+        assert order_counts(0.7, 0.0, seed=4, replicates=1000)[0] == 1000
 
 
 class TestCountRectangle:
+    # the per-realization rectangle counts behind check_poisson_law
     def test_empty_realization(self):
-        from fkmoments import PlanarRealization
-
-        pr = PlanarRealization(rate=1.0, points=np.empty((0, 2)))
-        assert count_rectangle(pr, Rectangle(0.1, 0.9, 0.1, 0.9)) == 0
+        counts = _rectangle_counts(np.empty((0, 2)), np.empty(0, dtype=int), 3, 0.1, 0.9, 0.1, 0.9)
+        assert counts.tolist() == [0, 0, 0]
 
     def test_single_point(self):
-        from fkmoments import PlanarRealization
-
-        pr = PlanarRealization(rate=1.0, points=np.array([[0.5, 0.5]]))
-        assert count_rectangle(pr, Rectangle(0.0, 1.0, 0.0, 1.0)) == 1
-        assert count_rectangle(pr, Rectangle(0.5, 1.0, 0.5, 1.0)) == 0  # half-open
+        point, owner = np.array([[0.5, 0.5]]), np.array([0])
+        assert _rectangle_counts(point, owner, 1, 0.0, 1.0, 0.0, 1.0).tolist() == [1]
+        # half-open: (0.5, 1] x (0.5, 1] excludes its lower corner
+        assert _rectangle_counts(point, owner, 1, 0.5, 1.0, 0.5, 1.0).tolist() == [0]
 
     def test_additivity_over_partition(self):
-        pr = sample_global(80.0, make_rng(5))
-        whole = Rectangle(0.1, 0.9, 0.2, 0.8)
+        points, owner = planar_points(make_rng(5), 50, 80.0)
+        whole = _rectangle_counts(points, owner, 50, 0.1, 0.9, 0.2, 0.8)
         parts = [
-            Rectangle(0.1, 0.5, 0.2, 0.8),
-            Rectangle(0.5, 0.9, 0.2, 0.5),
-            Rectangle(0.5, 0.9, 0.5, 0.8),
+            _rectangle_counts(points, owner, 50, 0.1, 0.5, 0.2, 0.8),
+            _rectangle_counts(points, owner, 50, 0.5, 0.9, 0.2, 0.5),
+            _rectangle_counts(points, owner, 50, 0.5, 0.9, 0.5, 0.8),
         ]
-        assert count_rectangle(pr, whole) == sum(count_rectangle(pr, r) for r in parts)
+        assert np.array_equal(whole, sum(parts))
 
     def test_matches_direct_count(self):
-        pr = sample_global(120.0, make_rng(6))
-        r = Rectangle(0.15, 0.85, 0.3, 0.75)
-        p = pr.points
-        direct = np.count_nonzero(
-            (p[:, 0] > r.a) & (p[:, 0] <= r.b) & (p[:, 1] > r.c) & (p[:, 1] <= r.d)
-        )
-        assert count_rectangle(pr, r) == direct
-
-    def test_invalid_rectangle(self):
-        with pytest.raises(DomainError):
-            Rectangle(0.5, 0.5, 0.0, 1.0)
+        points, owner = planar_points(make_rng(6), 20, 120.0)
+        counts = _rectangle_counts(points, owner, 20, 0.15, 0.85, 0.3, 0.75)
+        for i in range(20):
+            p = points[owner == i]
+            direct = np.count_nonzero(
+                (p[:, 0] > 0.15) & (p[:, 0] <= 0.85) & (p[:, 1] > 0.3) & (p[:, 1] <= 0.75)
+            )
+            assert counts[i] == direct
 
     def test_poisson_law_chi_square(self):
-        rng = make_rng(8)
-        r = Rectangle(0.0, 0.5, 0.0, 0.5)
-        n = 100_000
-        counts = np.array([count_rectangle(sample_global(1.0, rng), r) for _ in range(n)])
-        top = 3
-        observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
-        pmf = stats.poisson.pmf(np.arange(top), 0.25)
-        expected = np.append(pmf, 1 - pmf.sum()) * n
-        chi2 = np.sum((observed - expected) ** 2 / expected)
-        assert stats.chi2.sf(chi2, df=top) > ALPHA
+        start = time.perf_counter()
+        gof = check_poisson_law(seed=8)[0]
+        # batched draws: 100k realizations well inside a second
+        assert time.perf_counter() - start < 1.0
+        assert gof.name == "chi-square-gof-pvalue" and gof.statistic > ALPHA and gof.passed
 
     def test_disjoint_rectangle_independence(self):
-        rng = make_rng(9)
-        r1 = Rectangle(0.0, 0.5, 0.0, 0.5)
-        r2 = Rectangle(0.5, 1.0, 0.5, 1.0)
-        n = 100_000
-        c1 = np.empty(n)
-        c2 = np.empty(n)
-        for i in range(n):
-            pr = sample_global(1.0, rng)
-            c1[i] = count_rectangle(pr, r1)
-            c2[i] = count_rectangle(pr, r2)
-        assert abs(np.corrcoef(c1, c2)[0, 1]) < 0.02
+        corr = check_poisson_law(seed=9)[1]
+        assert corr.name == "disjoint-count-correlation" and corr.statistic < 0.02 and corr.passed
 
 
 class TestRestrictedSampling:
     def test_mean_count(self):
-        rng = make_rng(10)
-        counts = np.array(
-            [sample_restricted(0.5, 0.5, 1.0, rng).count for _ in range(100_000)]
-        )
-        assert abs(counts.mean() - 0.25) < 0.01
+        counts = order_counts(0.5, 0.5, seed=10)
+        assert abs(np.dot(np.arange(counts.size), counts) / counts.sum() - 0.25) < 0.01
 
     def test_full_square_matches_global_law(self):
-        rng = make_rng(11)
         n = 50_000
-        restricted = np.array([sample_restricted(1.0, 1.0, 1.0, rng).count for _ in range(n)])
-        global_counts = np.array([sample_global(1.0, rng).total_count for _ in range(n)])
+        restricted = order_counts(1.0, 1.0, seed=11, replicates=n)
+        global_counts = make_rng(11).poisson(1.0, size=n)
         # same Poisson(1) law: two-sample chi-square on binned counts
         top = 4
-        o1 = np.bincount(np.minimum(restricted, top), minlength=top + 1)
+        o1 = np.append(restricted[:top], restricted[top:].sum())
         o2 = np.bincount(np.minimum(global_counts, top), minlength=top + 1)
         stat, p = stats.chisquare(o1, o2 * o1.sum() / o2.sum())
         assert p > ALPHA
 
     def test_points_inside_rectangle(self):
-        rng = make_rng(12)
-        sample = sample_restricted(0.3, 0.8, 40.0, rng)
-        assert np.all(sample.points[:, 0] <= 0.3)
-        assert np.all(sample.points[:, 1] <= 0.8)
-        assert np.all(sample.points >= 0.0)
+        for mode in (UNIFORM, TEMPORAL_IMPORTANCE):
+            taus, rhos, _ = _fractional_points(0.3, 0.8, K75, mode)(2000, 20, make_rng(12))
+            assert np.all((taus >= 0.0) & (taus <= 0.3))
+            assert np.all((rhos >= 0.0) & (rhos <= 0.8))
 
     def test_conditional_uniformity_given_count(self):
-        t, s = 1.0, 0.7
-        rng = make_rng(13)
-        taus, rhos = [], []
-        for _ in range(100_000):
-            smp = sample_restricted(t, s, 1.0, rng)
-            if smp.count == 2:
-                taus.append(smp.points[:, 0])
-                rhos.append(smp.points[:, 1])
-        tau = (t - np.concatenate(taus)) / t
-        rho = (s - np.concatenate(rhos)) / s
-        assert stats.kstest(tau, "uniform").pvalue > ALPHA
-        assert stats.kstest(rho, "uniform").pvalue > ALPHA
+        checks = check_conditional_uniformity(seed=13, t=1.0, s=0.7, n=2)
+        assert all(c.passed and c.statistic > ALPHA for c in checks)
 
     def test_count_identity(self):
         # empirical P(K=n) n! e^{ts} recovers (ts)^n
         t, s = 1.0, 0.7
-        rng = make_rng(14)
         n_rep = 100_000
-        counts = np.array([sample_restricted(t, s, 1.0, rng).count for _ in range(n_rep)])
+        counts = order_counts(t, s, seed=14, replicates=n_rep)
         for n in (0, 1, 2):
-            p_hat = np.mean(counts == n)
+            p_hat = counts[n] / n_rep
             se = math.sqrt(p_hat * (1 - p_hat) / n_rep)
             scale = math.factorial(n) * math.exp(t * s)
             assert abs(p_hat * scale - (t * s) ** n) <= 3 * se * scale
@@ -167,12 +159,9 @@ class TestRestrictedSampling:
 
 class TestTemporalImportance:
     def test_points_in_rectangle(self):
-        rng = make_rng(15)
-        k = TemporalKernel(0.75)
-        for _ in range(200):
-            tau, rho = sample_temporal_importance(0.8, 0.6, k, rng)
-            assert 0.0 <= tau <= 0.8
-            assert 0.0 <= rho <= 0.6
+        pts = sample_eta_tilted(0.8, 0.6, K75, 200, make_rng(15))
+        assert np.all((pts[:, 0] >= 0.0) & (pts[:, 0] <= 0.8))
+        assert np.all((pts[:, 1] >= 0.0) & (pts[:, 1] <= 0.6))
 
     def test_gap_distribution_matches_analytic_cdf(self):
         # for t = s = 1 the law of |u - v| under the tilted density has CDF
@@ -212,11 +201,11 @@ class TestTemporalImportance:
             assert ks < 0.1
 
     def test_restricted_importance_weight_field(self):
-        rng = make_rng(19)
-        k = TemporalKernel(0.75)
-        smp = sample_restricted_importance(0.5, 0.5, k, 1.0, rng)
-        assert smp.mode == "importance"
-        assert smp.per_point_weight == pytest.approx(k.mass(0.5, 0.5) / 0.25)
+        # each eta factor is replaced by the constant eta_mass(t,s)/(t s)
+        points = _fractional_points(0.5, 0.5, K75, TEMPORAL_IMPORTANCE)
+        taus, rhos, weight = points(10, 3, make_rng(19))
+        assert taus.shape == rhos.shape == (10, 3)
+        assert weight == pytest.approx((K75.mass(0.5, 0.5) / 0.25) ** 3, rel=1e-15)
 
     def test_narrow_horizon_uses_boundary_sup(self):
         # t < s/2 takes the m(t) envelope branch of the rejection bound
@@ -234,20 +223,14 @@ class TestTemporalImportance:
 
 
 class TestLinearJumpTimes:
-    def test_strictly_increasing(self):
-        rng = make_rng(20)
-        for _ in range(500):
-            times = sample_linear_jump_times(1.0, 3.0, rng)
-            assert np.all(np.diff(times) >= 0)
-            assert np.all((times >= 0) & (times <= 1.0))
-
     def test_count_statistics(self):
-        rng = make_rng(21)
-        counts = np.array(
-            [sample_linear_jump_times(1.0, 1.0, rng).size for _ in range(100_000)]
-        )
-        assert abs(counts.mean() - 1.0) < 0.01
-        assert abs(np.mean(counts == 0) - math.exp(-1)) < 0.005
+        # the white-noise engine's jump count on [0, 1] is Poisson(1)
+        cfg = EstimatorConfig(replicates=100_000, seed=21, max_order_tracked=12)
+        est = estimate_second_moment_white(1.0, (0.0,), (0.0,), ZeroKernel(dim=1), Constant(1.0), cfg)
+        counts = np.array([est.per_order[n][2] for n in range(13)])
+        n = counts.sum()
+        assert abs(np.dot(np.arange(13), counts) / n - 1.0) < 0.01
+        assert abs(counts[0] / n - math.exp(-1)) < 0.005
 
 
 class TestHypercubeIntegral:
