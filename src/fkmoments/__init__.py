@@ -32,7 +32,6 @@ from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import mc_hypercube_integral
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "heat_density",
     "initial_field",
     "inner_product_closed_form",
-    "mc_hypercube_integral",
     "second_moment_series",
     "truncation_tail",
     "white_noise_order_term",

@@ -20,11 +20,12 @@ diagonal jitter is added, repeated nodes included.  At order 3 the
 cofactors that depend only on a pair of nodes are computed once per rung
 (see :func:`_contract_order3`).
 
-Convergence is certified empirically: each order is refined until two
-successive refinements differ by less than ``tol`` relative to the larger
-of the current iterate and a caller-supplied scale floor.  The series
-driver passes the running series magnitude as that floor, so the
-tolerance is understood relative to the quantity actually being reported.
+Both series certify convergence on one ladder (:func:`_certify`): each
+order is refined until two successive rungs differ by at most ``tol``
+relative to the larger of the current iterate and a scale floor.  The
+fractional series passes the running series magnitude as that floor, so
+its tolerance is relative to the quantity actually being reported; the
+white-in-time series uses no floor.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
     "second_moment_series",
     "white_noise_order_term",
     "white_noise_series",
+    "series_settings",
+    "white_points",
     "truncation_tail",
 ]
 
@@ -132,9 +135,7 @@ class SeriesResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _require_closed_form(f, u0, allow_zero=True):
-    if allow_zero and isinstance(f, ZeroKernel):
-        return
+def _require_closed_form(f, u0):
     if not isinstance(f, HeatKernel):
         raise CapabilityError(
             "closed-form route requires the heat spatial kernel; "
@@ -155,7 +156,7 @@ def inner_product_closed_form(t_times, s_times, q: QueryPoint, f, u0) -> float:
     with B1 from x, B2 from y; for constant data the w factors contribute
     exactly c^2 regardless of t*, s*.
     """
-    _require_closed_form(f, u0, allow_zero=False)
+    _require_closed_form(f, u0)
     t_times = np.asarray(t_times, dtype=float)
     s_times = np.asarray(s_times, dtype=float)
     if t_times.ndim != 1 or t_times.shape != s_times.shape:
@@ -296,6 +297,61 @@ def _contract_order3(a, b, w, h, d, off2) -> float:
     return float(total)
 
 
+def series_settings(n_max: int, tol: float) -> tuple[int, float]:
+    """(n_max, tol) of a truncated series, checked for both series."""
+    if not 0 <= n_max <= MAX_ORDER:
+        raise DomainError(f"n_max must lie in 0..{MAX_ORDER}, got {n_max}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    return n_max, tol
+
+
+def _certify(label: str, rungs, evaluate, tol: float, scale_floor: float, trace):
+    """Value at the first rung within tol * max(|value|, scale_floor) of
+    the rung before it; ``evaluate(*rung)`` gives (node count m, value).
+
+    If ``trace`` is a list, one entry (*rung, m, value, |delta|, tol *
+    scale) is appended per rung tried, |delta| being None on the first.
+    Raises NumericError naming the last two iterates if no rung passes.
+    """
+    prev = cur = None
+    for rung in rungs:
+        prev = cur
+        m, cur = evaluate(*rung)
+        delta = None if prev is None else abs(cur - prev)
+        bound = tol * max(abs(cur), scale_floor)
+        if trace is not None:
+            trace.append((*rung, m, cur, delta, bound))
+        if delta is not None and delta <= bound:
+            return cur
+    raise NumericError(
+        f"{label} quadrature did not converge: last iterates {prev!r}, {cur!r}"
+    )
+
+
+def _series(n_max: int, tol: float, zeroth: float, horizon: float, f, order_term):
+    """Zeroth term plus orders 1..n_max, which vanish exactly for the zero
+    kernel or a zero horizon; otherwise ``order_term(n, scale, trace)``
+    certifies order n, ``scale`` being the magnitude of the series so far.
+    """
+    series_settings(n_max, tol)
+    terms = [0.0] * n_max
+    refinement = {}
+    if not (isinstance(f, ZeroKernel) or horizon == 0.0 or n_max == 0):
+        scale = abs(zeroth)
+        for n in range(1, n_max + 1):
+            refinement[n] = []
+            terms[n - 1] = order_term(n, scale, refinement[n])
+            scale += abs(terms[n - 1])
+    return SeriesResult(
+        zeroth_term=zeroth,
+        order_terms=terms,
+        tail_estimate=truncation_tail(terms),
+        total=zeroth + math.fsum(terms),
+        diagnostics={"refinement": refinement},
+    )
+
+
 def alpha_n_quadrature(
     n: int,
     q: QueryPoint,
@@ -308,12 +364,9 @@ def alpha_n_quadrature(
 ) -> float:
     """Chaos coefficient a_n by singularity-graded tensor quadrature.
 
-    Refines the pair-rule ladder until successive values differ by less
-    than ``tol`` relative to max(|value|, ``scale_floor``); raises
-    NumericError with the last two iterates if the ladder is exhausted.
-    If ``trace`` is a list, one tuple (depth_u, depth_r, m, value, |delta|,
-    tol * scale) is appended to it per rung tried; |delta| is None on the
-    first rung.
+    Refines the pair-rule ladder until two successive values differ by at
+    most ``tol`` times max(|value|, ``scale_floor``) (:func:`_certify`); a
+    ``trace`` entry is (depth_u, depth_r, m, value, |delta|, tol * scale).
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
@@ -331,80 +384,58 @@ def alpha_n_quadrature(
     off2 = q.offset_sq
     h = f.bandwidth
     d = q.dim
-    prev = cur = None
-    for depth_u, depth_r in _PAIR_LEVELS[n]:
+
+    def rung(depth_u, depth_r):
         u, v, w = eta_pair_rule(k.hurst, t, s, depth_u, depth_r)
         # elapsed times seen by the inner product are (t - u, s - v)
-        raw = _contract_gaussian(t - u, s - v, w, n, h, d, off2)
-        prev, cur = cur, c2 * raw
-        delta = None if prev is None else abs(cur - prev)
-        bound = tol * max(abs(cur), scale_floor)
-        if trace is not None:
-            trace.append((depth_u, depth_r, w.size, cur, delta, bound))
-        if delta is not None and delta <= bound:
-            return cur
-    raise NumericError(
-        f"order-{n} quadrature did not converge: last iterates {prev!r}, {cur!r}"
-    )
+        return w.size, c2 * _contract_gaussian(t - u, s - v, w, n, h, d, off2)
+
+    return _certify(f"order-{n}", _PAIR_LEVELS[n], rung, tol, scale_floor, trace)
 
 
 def second_moment_series(
     q: QueryPoint, k: TemporalKernel, f, u0, n_max: int, tol: float
 ) -> SeriesResult:
-    """Zeroth term plus orders 1..n_max of the second-moment series."""
-    if not 0 <= n_max <= MAX_ORDER:
-        raise DomainError(f"n_max must satisfy 0 <= n_max <= {MAX_ORDER}, got {n_max}")
+    """Zeroth term plus orders 1..n_max of the second-moment series; each
+    order is certified relative to the running series magnitude."""
     zeroth = float(initial_field(u0, q.t, q.x_arr)) * float(
         initial_field(u0, q.s, q.y_arr)
     )
-    if isinstance(f, ZeroKernel) or q.t * q.s == 0.0 or n_max == 0:
-        terms = [0.0] * n_max
-        return SeriesResult(
-            zeroth_term=zeroth,
-            order_terms=terms,
-            tail_estimate=0.0,
-            total=zeroth,
-            diagnostics={"orders_computed": 0, "refinement": {}},
-        )
-    _require_closed_form(f, u0)
-    terms = []
-    refinement = {}
-    scale = abs(zeroth)
-    for n in range(1, n_max + 1):
-        refinement[n] = []
-        a_n = alpha_n_quadrature(
-            n, q, k, f, u0, tol, scale_floor=scale, trace=refinement[n]
-        )
-        term = a_n / math.factorial(n)
-        terms.append(term)
-        scale += abs(term)
-    tail = truncation_tail(terms)
-    total = zeroth + math.fsum(terms)
-    return SeriesResult(
-        zeroth_term=zeroth,
-        order_terms=terms,
-        tail_estimate=tail,
-        total=total,
-        diagnostics={"orders_computed": n_max, "refinement": refinement},
-    )
+
+    def order_term(n, scale, trace):
+        a_n = alpha_n_quadrature(n, q, k, f, u0, tol, scale_floor=scale, trace=trace)
+        return a_n / math.factorial(n)
+
+    return _series(n_max, tol, zeroth, q.t * q.s, f, order_term)
+
+
+def white_points(t: float, x, y):
+    """x and y as arrays of one dimension, for a time t >= 0: the domain
+    check of both white-in-time routes."""
+    if not t >= 0.0:
+        raise DomainError(f"time must be nonnegative, got {t}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise DomainError("query points x and y must share a dimension")
+    return x, y
 
 
 def white_noise_order_term(
-    n: int, t: float, x, y, f, u0, tol: float, scale_floor: float = 0.0
+    n: int, t: float, x, y, f, u0, tol: float, trace: list | None = None
 ) -> float:
     """Order-n term of the white-in-time moment expansion.
 
     A simplex integral over 0 < t_1 < ... < t_n < t of the closed-form
     Gaussian expectation with per-coordinate covariance 2 min(t_j, t_k)
     (both paths share the same evaluation times).  Smooth integrand, so a
-    plain tensor rule on the ordered sector converges rapidly.
+    plain tensor rule on the ordered sector converges rapidly.  Certified
+    by :func:`_certify` with no scale floor; a ``trace`` entry is (points
+    per axis, simplex node count m, value, |delta|, tol * |value|).
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise DomainError("query points x and y must share a dimension")
+    x, y = white_points(t, x, y)
     if isinstance(f, ZeroKernel):
         return 0.0
     _require_closed_form(f, u0)
@@ -413,33 +444,26 @@ def white_noise_order_term(
     off2 = float(np.sum((x - y) ** 2))
     c2 = u0.value * u0.value
     d = x.shape[0]
-    prev = cur = None
-    for m in _SIMPLEX_LEVELS:
-        times, weights = simplex_rule(n, t, m)
+
+    def rung(points):
+        times, weights = simplex_rule(n, t, points)
         vals = gaussian_product_expectation_batch(times, times, f.bandwidth, d, off2)
-        prev, cur = cur, c2 * float(np.dot(weights, vals))
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), scale_floor):
-            return cur
-    raise NumericError(
-        f"white-noise order-{n} quadrature did not converge: last iterates {prev!r}, {cur!r}"
-    )
+        return weights.size, c2 * float(np.dot(weights, vals))
+
+    levels = [(points,) for points in _SIMPLEX_LEVELS]
+    return _certify(f"white-noise order-{n}", levels, rung, tol, 0.0, trace)
 
 
 def white_noise_series(t: float, x, y, f, u0, n_max: int, tol: float) -> SeriesResult:
     """Zeroth term plus orders 1..n_max of the white-in-time series at
     equal times t; unlike :func:`second_moment_series`, no scale floor."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = white_points(t, x, y)
     zeroth = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
-    orders = [
-        white_noise_order_term(n, t, x, y, f, u0, tol) for n in range(1, n_max + 1)
-    ] if t > 0.0 else [0.0] * n_max
-    return SeriesResult(
-        zeroth_term=zeroth,
-        order_terms=orders,
-        tail_estimate=truncation_tail(orders),
-        total=zeroth + math.fsum(orders),
-    )
+
+    def order_term(n, scale, trace):
+        return white_noise_order_term(n, t, x, y, f, u0, tol, trace=trace)
+
+    return _series(n_max, tol, zeroth, t, f, order_term)
 
 
 def truncation_tail(order_terms) -> float:

@@ -24,13 +24,12 @@ import math
 import resource
 import sys
 import time
-import warnings
 
 import click
 
 from .chaos_oracle import second_moment_series, white_noise_series
 from .errors import CapabilityError, ConfigError, DomainError, NumericError
-from .kernels import warn_outside_existence_regime
+from .kernels import existence_regime_warning
 from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
@@ -168,17 +167,17 @@ def _oracle_record(rc: RunConfig, series) -> dict:
         "command": "oracle",
         "zeroth_term": series.zeroth_term,
     }
-    refinement = series.diagnostics.get("refinement", {})
+    refinement = series.diagnostics["refinement"]
     for i, term in enumerate(series.order_terms, start=1):
         rec[f"order_{i}_term"] = term
+        # orders that vanish exactly have no rungs; rungs end (m, value, delta, bound)
         if i in refinement:
-            rec[f"order_{i}_m"] = refinement[i][-1][2]
+            rec[f"order_{i}_m"] = refinement[i][-1][-4]
             rec[f"order_{i}_rungs"] = len(refinement[i])
     rec["tail_estimate"] = series.tail_estimate
     rec["tail_is_heuristic"] = series.tail_is_heuristic
     rec["total"] = series.total
-    rec["n_max"] = rc.oracle_n_max
-    rec["tol"] = rc.oracle_tol
+    rec["n_max"], rec["tol"] = rc.oracle_settings()
     return _with_config_echo(rec, rc)
 
 
@@ -188,9 +187,7 @@ def _run_estimator(rc: RunConfig):
     f = rc.spatial_kernel()
     u0 = rc.initial_condition()
     cfg = rc.estimator_config()
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        msg = warn_outside_existence_regime(f, kernel.hurst)
+    msg = existence_regime_warning(f)
     if msg:
         click.echo(f"warning: {msg}", err=True)
     if rc.equation == "white":
@@ -206,16 +203,10 @@ def _run_oracle(rc: RunConfig):
     q = rc.query()
     f = rc.spatial_kernel()
     u0 = rc.initial_condition()
+    n_max, tol = rc.oracle_settings()
     if rc.equation == "white":
-        return white_noise_series(q.t, q.x, q.y, f, u0, rc.oracle_n_max, rc.oracle_tol)
-    return second_moment_series(
-        q,
-        rc.temporal_kernel(),
-        f,
-        u0,
-        rc.oracle_n_max,
-        rc.oracle_tol,
-    )
+        return white_noise_series(q.t, q.x, q.y, f, u0, n_max, tol)
+    return second_moment_series(q, rc.temporal_kernel(), f, u0, n_max, tol)
 
 
 def _guarded(body):

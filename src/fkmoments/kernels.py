@@ -15,7 +15,6 @@ axes are broadcast batch axes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,10 +116,6 @@ class SpatialKernel:
     def values(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def value(self, x) -> float:
-        """Scalar convenience wrapper around :meth:`values`."""
-        return float(self.values(np.asarray(x, dtype=float)))
-
 
 @dataclass(frozen=True)
 class HeatKernel(SpatialKernel):
@@ -201,16 +196,14 @@ class ZeroKernel(SpatialKernel):
 # Existence of the underlying solution is only guaranteed on part of the
 # (kernel, d, H) parameter space; outside it the representation formula is
 # still evaluated as stated, after a warning.
-def warn_outside_existence_regime(f: SpatialKernel, hurst: float) -> str | None:
-    msg = None
+def existence_regime_warning(f: SpatialKernel) -> str | None:
+    """The warning for a kernel outside that regime, or None inside it."""
     if isinstance(f, RieszKernel) and f.dim > 2 + f.order:
-        msg = (
+        return (
             f"Riesz kernel with dim={f.dim} > 2 + order={f.order}: outside the "
             "surveyed existence regime; computing the representation anyway"
         )
-    if msg is not None:
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return msg
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chaos_oracle import white_points
 from .errors import DomainError, NumericError
 from .gaussian_paths import brownian_batch_nd
 from .kernels import Constant, SpatialKernel, TemporalKernel, ZeroKernel, initial_field
@@ -437,14 +438,9 @@ def estimate_second_moment_white(
     t: float, x, y, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment at equal times via the linear-Poisson representation."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not f.dim == x.shape[0] == y.shape[0]:
-        raise DomainError(
-            f"kernel dimension {f.dim}, x dimension {x.shape[0]}, y dimension {y.shape[0]} differ"
-        )
+    x, y = white_points(t, x, y)
+    if f.dim != x.shape[0]:
+        raise DomainError(f"kernel dimension {f.dim} != query dimension {x.shape[0]}")
     w_pair = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
     if t == 0.0:
         return _degenerate_estimate(w_pair, cfg)

@@ -4,22 +4,11 @@ Restricted to [0,t] x [0,s], the rate-1 planar process has a Poisson(ts)
 count K and, given K, i.i.d. locations.  The replicate engine
 (:mod:`fkmoments.mc_engine`) draws both in batches; its tilted locations,
 with density proportional to eta(t-a, s-b), come from
-:func:`sample_eta_tilted`.  :func:`mc_hypercube_integral` evaluates
-2n-dimensional hypercube integrals through the planar count identity
-
-    int_{[0,t]^n x [0,s]^n} F = n! e^{ts} E[F(t-tau_1, s-rho_1, ...) 1{K=n}]
-
-for symmetric F.  The index sum behind this identity is read over
-unordered index sets, which is the reading consistent with
-(ts)^n = n! e^{ts} P(K = n).
-
-Both are pure functions of (parameters, generator); fixed seeds give
-bit-reproducible output.
+:func:`sample_eta_tilted`, a pure function of (parameters, generator):
+fixed seeds give bit-reproducible output.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,7 +19,6 @@ __all__ = [
     "UNIFORM",
     "TEMPORAL_IMPORTANCE",
     "sample_eta_tilted",
-    "mc_hypercube_integral",
 ]
 
 UNIFORM = "uniform"
@@ -137,42 +125,3 @@ def sample_eta_tilted(
     out[:, 0] = t - u
     out[:, 1] = s - v
     return out
-
-
-# ---------------------------------------------------------------------------
-# the hypercube integral identity
-# ---------------------------------------------------------------------------
-
-
-def mc_hypercube_integral(
-    F,
-    n: int,
-    t: float,
-    s: float,
-    replicates: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo value of int_{[0,t]^n x [0,s]^n} F via the count identity.
-
-    ``F(t_args, s_args)`` must accept arrays of shape (m, n) and return a
-    vector of m values; it is only ever evaluated at reflected restricted
-    points (t - tau_j, s - rho_j).  Per replicate, a restricted sample is
-    drawn and contributes n! e^{ts} F(...) when its count equals n, else 0.
-    Returns (estimate, CLT standard error).
-    """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    if replicates < 2:
-        raise DomainError("at least 2 replicates are required for a standard error")
-    counts = rng.poisson(t * s, size=replicates)
-    hits = np.nonzero(counts == n)[0]
-    values = np.zeros(replicates)
-    if hits.size:
-        pts = rng.uniform(0.0, 1.0, size=(hits.size, n, 2))
-        taus = pts[..., 0] * t
-        rhos = pts[..., 1] * s
-        values[hits] = F(t - taus, s - rhos)
-    values *= math.exp(t * s) * math.factorial(n)
-    est = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(replicates))
-    return est, stderr

@@ -54,7 +54,6 @@ __all__ = [
     "gauss_legendre_01",
     "gauss_jacobi_01",
     "eta_pair_rule",
-    "eta_weight_total",
     "simplex_rule",
 ]
 
@@ -224,12 +223,6 @@ def eta_pair_rule(
                 vs.append(v)
                 ws.append(wu * wr)
     return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
-
-
-def eta_weight_total(hurst: float, t: float, s: float, depth_u: int = 12, depth_r: int = 12) -> float:
-    """Quadrature value of int_0^t int_0^s eta(u, v) dv du (g = 1)."""
-    _, _, w = eta_pair_rule(hurst, t, s, depth_u, depth_r)
-    return float(np.sum(w))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ fully resolved mapping is echoed into every emitted record, so a record
 can be replayed byte-identically by feeding its echo back in.
 
 Each value is parsed here (type, finiteness, choice, coordinate count)
-and range-checked once, by the domain object built from it; a
-``DomainError`` is re-raised as a ``ConfigError`` that names the key.
-Only ``oracle.n_max``, ``oracle.tol`` and the white-noise equal-time
-rule have no domain object and are checked here.  Misconfigurations thus
+and range-checked once, by the domain object or check built from it
+(``oracle.n_max`` and ``oracle.tol`` by the oracle's
+``series_settings``); a ``DomainError`` is re-raised as a
+``ConfigError`` that names the key.  Only the white-noise equal-time
+rule has no domain object and is checked here.  Misconfigurations thus
 fail fast with exit code 2 before any computation starts.
 """
 
@@ -20,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .chaos_oracle import QueryPoint
+from .chaos_oracle import QueryPoint, series_settings
 from .errors import ConfigError, DomainError
 from .kernels import (
     Constant,
@@ -199,8 +200,7 @@ class RunConfig:
         self.temporal_kernel()
         self.initial_condition()
         self.estimator_config()
-        self.oracle_n_max
-        self.oracle_tol
+        self.oracle_settings()
         # parses the keys the views above skip (e.g. kernel.order for heat)
         self.echo()
 
@@ -242,19 +242,9 @@ class RunConfig:
             workers="workers",
         )
 
-    @property
-    def oracle_n_max(self) -> int:
-        n_max = self._int("oracle.n_max")
-        if not 0 <= n_max <= 3:
-            raise ConfigError(f"oracle.n_max must lie in 0..3, got {n_max}")
-        return n_max
-
-    @property
-    def oracle_tol(self) -> float:
-        tol = self._float("oracle.tol")
-        if tol <= 0:
-            raise ConfigError(f"oracle.tol must be positive, got {tol}")
-        return tol
+    def oracle_settings(self) -> tuple[int, float]:
+        """(n_max, tol) of the chaos-series oracle."""
+        return self._build(series_settings, n_max="oracle.n_max", tol="oracle.tol")
 
     @property
     def output_format(self) -> str:

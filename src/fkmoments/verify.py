@@ -2,7 +2,9 @@
 
 Each check draws with a pinned seed and reports a named statistic against
 a fixed threshold, so the suites are deterministic and CI-safe.
-Statistical significance levels are fixed at 1e-3.
+Statistical significance levels are fixed at 1e-3.  The integral
+identity runs the replicate engine itself, so it checks the engine's
+per-order bookkeeping against exact hypercube integrals.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import numpy as np
 from .chaos_oracle import QueryPoint, inner_product_closed_form
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel
 from .mc_engine import (
+    _STREAM_FRACTIONAL,
     EstimatorConfig,
+    _estimate,
     _fractional_points,
+    _stream,
     estimate_inner_product_mc,
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import UNIFORM, mc_hypercube_integral
+from .point_process import UNIFORM
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -99,38 +104,48 @@ def check_conditional_uniformity(
     ]
 
 
+def hypercube_integrals(F, t: float, s: float, replicates: int, seed: int) -> dict:
+    """n -> (value, stderr) of int_{[0,t]^n x [0,s]^n} F for n >= 1, as
+    n! e^{ts} E[F(t - tau, s - rho) 1{K = n}] from one run of the replicate
+    engine (Poisson(ts) counts, uniform points, batch-means stderr) with F
+    as the replicate value; F maps two (g, n) arrays to g values.
+    """
+    cfg = EstimatorConfig(replicates=replicates, seed=seed)
+    # the kernel only sets the point law's eta weight, which F replaces
+    points = _fractional_points(t, s, TemporalKernel(hurst=0.75), UNIFORM)
+
+    def evaluate(kk, g, rng):
+        taus, rhos, _ = points(g, kk, rng)
+        return F(t - taus, s - rhos)
+
+    summary = _stream(
+        cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate
+    )
+    per_order = _estimate(summary, math.exp(t * s), None, cfg).per_order
+    return {
+        n: (math.factorial(n) * value, math.factorial(n) * stderr)
+        for n, (value, stderr, _) in per_order.items()
+        if n >= 1
+    }
+
+
 def check_integral_identity(seed: int = DEFAULT_SEED, replicates: int = 1_000_000):
     """Hypercube integrals against their closed-form values, 3-sigma."""
     kernel = TemporalKernel(hurst=0.75)
-    t = s = 1.0
+    ones = hypercube_integrals(lambda ta, sa: np.ones(ta.shape[0]), 1.0, 1.0, replicates, seed)
+    poly = hypercube_integrals(
+        lambda ta, sa: np.prod(ta * sa, axis=1), 1.0, 1.0, replicates, seed + 1
+    )
+    eta = hypercube_integrals(
+        lambda ta, sa: kernel.eta(1.0 - ta, 1.0 - sa)[:, 0], 1.0, 1.0, replicates, seed + 2
+    )
+    cases = [(f"constant-integrand-n{n}", ones[n], 1.0) for n in (1, 2, 3)]
+    cases += [(f"separable-polynomial-n{n}", poly[n], 4.0 ** (-n)) for n in (1, 2, 3)]
+    cases.append(("temporal-kernel-n1", eta[1], kernel.mass(1.0, 1.0)))
     results = []
-    seq = 0
-
-    def zcheck(name, est, stderr, truth):
+    for name, (est, stderr), truth in cases:
         z = abs(est - truth) / stderr if stderr > 0 else math.inf
         results.append(CheckResult("integral-identity", name, z, 3.0, z <= 3.0))
-
-    for n in (1, 2, 3):
-        est, stderr = mc_hypercube_integral(
-            lambda ta, sa: np.ones(ta.shape[0]), n, t, s, replicates, _rng(seed + seq)
-        )
-        zcheck(f"constant-integrand-n{n}", est, stderr, 1.0)
-        seq += 1
-    for n in (1, 2, 3):
-        est, stderr = mc_hypercube_integral(
-            lambda ta, sa: np.prod(ta * sa, axis=1), n, t, s, replicates, _rng(seed + seq)
-        )
-        zcheck(f"separable-polynomial-n{n}", est, stderr, 4.0 ** (-n))
-        seq += 1
-    est, stderr = mc_hypercube_integral(
-        lambda ta, sa: kernel.eta(t - ta, s - sa)[:, 0],
-        1,
-        t,
-        s,
-        replicates,
-        _rng(seed + seq),
-    )
-    zcheck("temporal-kernel-n1", est, stderr, kernel.mass(t, s))
     return results
 
 

@@ -27,7 +27,7 @@ from fkmoments import (
     white_noise_order_term,
 )
 from fkmoments.cli import main as cli_main
-from fkmoments.quadrature import eta_weight_total
+from fkmoments.quadrature import eta_pair_rule
 from fkmoments.verify import (
     check_conditional_uniformity,
     check_integral_identity,
@@ -96,7 +96,7 @@ def test_a4_eta_mass_quadrature():
     for hurst in (0.55, 0.75, 0.9):
         kernel = TemporalKernel(hurst)
         for t, s in ((1.0, 1.0), (1.0, 0.5), (0.3, 0.7)):
-            diff = abs(kernel.mass(t, s) - eta_weight_total(hurst, t, s))
+            diff = abs(kernel.mass(t, s) - eta_pair_rule(hurst, t, s, 12, 12)[2].sum())
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 5.0

@@ -298,6 +298,19 @@ class TestWhiteNoiseOrderTerm:
         with pytest.raises(DomainError, match="dimension"):
             white_noise_order_term(1, 0.5, (0.0,), (0.0, 0.3), HEAT1, CONST1, 1e-5)
 
+    def test_rejects_negative_time(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            white_noise_order_term(1, -0.001, (0.0,), (0.0,), HEAT1, CONST1, 1e-5)
+
+    def test_trace_records_simplex_rungs(self):
+        trace = []
+        val = white_noise_order_term(2, 0.5, (0.0,), (0.2,), HEAT1, CONST1, 1e-5, trace=trace)
+        assert [r[:2] for r in trace] == [(p, p * p) for p in (8, 12, 16, 24, 32, 48)[: len(trace)]]
+        assert trace[0][3] is None
+        assert all(r[3] > r[4] for r in trace[1:-1])
+        assert trace[-1][3] <= trace[-1][4] == 1e-5 * abs(val)
+        assert trace[-1][2] == val
+
 
 class TestWhiteNoiseSeries:
     def test_total_is_zeroth_plus_unfloored_orders(self):
@@ -312,6 +325,44 @@ class TestWhiteNoiseSeries:
     def test_zero_time_skips_the_orders(self):
         series = white_noise_series(0.0, (0.0,), (0.0,), RieszKernel(dim=2, order=1.0), CONST1, 2, 1e-5)
         assert series.order_terms == [0.0, 0.0] and series.total == 1.0
+
+    def test_refinement_trace_matches_the_order_terms(self):
+        series = white_noise_series(0.6, (0.0,), (0.4,), HEAT1, CONST1, 3, 1e-5)
+        refinement = series.diagnostics["refinement"]
+        for n in (1, 2, 3):
+            trace = []
+            white_noise_order_term(n, 0.6, (0.0,), (0.4,), HEAT1, CONST1, 1e-5, trace=trace)
+            assert refinement[n] == trace
+            assert trace[-1][2] == series.order_terms[n - 1]
+
+    @pytest.mark.parametrize("t, n_max", [(-0.5, 2), (0.5, -1), (0.5, 4)])
+    def test_rejects_negative_time_and_order_cap(self, t, n_max):
+        with pytest.raises(DomainError):
+            white_noise_series(t, (0.0,), (0.0,), HEAT1, CONST1, n_max, 1e-5)
+
+
+class TestSeriesSettings:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_rejected_before_any_rule_is_built(self, tol, monkeypatch):
+        from fkmoments import chaos_oracle
+
+        def no_rule(*args):
+            raise AssertionError("a quadrature rule was built")
+
+        monkeypatch.setattr(chaos_oracle, "eta_pair_rule", no_rule)
+        monkeypatch.setattr(chaos_oracle, "simplex_rule", no_rule)
+        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        for n_max in (1, 3):
+            with pytest.raises(DomainError, match="tol"):
+                second_moment_series(q, TemporalKernel(0.75), HEAT1, CONST1, n_max=n_max, tol=tol)
+            with pytest.raises(DomainError, match="tol"):
+                white_noise_series(0.5, (0.0,), (0.0,), HEAT1, CONST1, n_max, tol)
+
+    @pytest.mark.parametrize("n_max", [-1, 4])
+    def test_order_cap(self, n_max):
+        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        with pytest.raises(DomainError, match="n_max"):
+            second_moment_series(q, TemporalKernel(0.75), HEAT1, CONST1, n_max=n_max, tol=1e-5)
 
 
 class TestTruncationTail:

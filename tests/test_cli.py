@@ -180,6 +180,15 @@ class TestOracleCommand:
         assert "order_3_m" not in rec
         assert run_cli(*args).stdout == first.stdout
 
+    def test_white_record_carries_refinement_summary(self):
+        rec = run_json("oracle", "--equation", "white")
+        # the white ladder refines 8, 12, ... Gauss points per axis; m is
+        # the simplex rule's node count
+        for n in (1, 2, 3):
+            assert rec[f"order_{n}_rungs"] == 2
+            assert rec[f"order_{n}_m"] == 12**n
+        assert list(rec)[3:6] == ["order_1_term", "order_1_m", "order_1_rungs"]
+
     def test_riesz_capability_error_exits_3(self):
         result = run_cli("oracle", "--set", "kernel.spatial=riesz", "--set", "query.dim=2")
         assert result.exit_code == 3

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,3 +42,17 @@ def test_cold_import_loads_no_scipy():
         "disjoint-count-correlation",
     ]
     assert all(0.0 <= stat <= 1.0 for _, stat in out["checks"])
+
+
+def test_traced_names_are_module_attributes(monkeypatch):
+    # the benchmark's span recorder replaces these attributes in place;
+    # each must stay a name its module looks up at call time
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans._FUNCTIONS
+    for module_name, attr, *_ in spans._FUNCTIONS:
+        assert attr in importlib.import_module(module_name).__dict__, (module_name, attr)

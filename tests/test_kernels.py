@@ -64,30 +64,30 @@ class TestTemporalKernel:
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9])
     @pytest.mark.parametrize("ts", [(1.0, 1.0), (1.0, 0.5), (0.3, 0.7)])
     def test_mass_matches_graded_quadrature(self, hurst, ts):
-        from fkmoments.quadrature import eta_weight_total
+        from fkmoments.quadrature import eta_pair_rule
 
         t, s = ts
         closed = TemporalKernel(hurst).mass(t, s)
-        quad = eta_weight_total(hurst, t, s)
+        quad = eta_pair_rule(hurst, t, s, 12, 12)[2].sum()
         assert abs(closed - quad) < 1e-6
 
 
 class TestSpatialKernels:
     def test_zero_kernel(self):
         f = ZeroKernel(dim=2)
-        assert f.value((0.3, -0.4)) == 0.0
+        assert f.values((0.3, -0.4)) == 0.0
 
     def test_heat_kernel_at_origin(self):
         f = HeatKernel(dim=1, bandwidth=1.0)
-        assert f.value((0.0,)) == pytest.approx(0.3989422804014327, rel=1e-14)
+        assert f.values((0.0,)) == pytest.approx(0.3989422804014327, rel=1e-14)
 
     def test_riesz_kernel_value(self):
         f = RieszKernel(dim=2, order=1.0)
-        assert f.value((2.0, 0.0)) == pytest.approx(0.5)
+        assert f.values((2.0, 0.0)) == pytest.approx(0.5)
 
     def test_riesz_singular_at_origin(self):
         f = RieszKernel(dim=1, order=0.5)
-        assert f.value((0.0,)) == math.inf
+        assert f.values((0.0,)) == math.inf
 
     def test_riesz_order_validated(self):
         with pytest.raises(DomainError):
@@ -117,7 +117,7 @@ class TestSpatialKernels:
     def test_heat_kernel_bounded_by_origin_value(self):
         f = HeatKernel(dim=2, bandwidth=0.8)
         x = RNG.normal(size=(100, 2))
-        assert np.all(f.values(x) <= f.value((0.0, 0.0)))
+        assert np.all(f.values(x) <= f.values((0.0, 0.0)))
 
 
 class TestHeatDensity:

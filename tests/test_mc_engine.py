@@ -204,6 +204,12 @@ class TestWhiteEstimator:
         with pytest.raises(DomainError, match="dimension"):
             estimate_second_moment_white(0.5, (0.0, 0.0), (0.0, 0.3), HEAT1, CONST1, cfg)
 
+    @pytest.mark.parametrize("t", [-0.1, math.nan])
+    def test_rejects_negative_or_nan_time(self, t):
+        cfg = EstimatorConfig(replicates=100, seed=0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            estimate_second_moment_white(t, (0.0,), (0.0,), HEAT1, CONST1, cfg)
+
     def test_small_time_limit(self):
         cfg = EstimatorConfig(replicates=100_000, seed=21)
         u0 = Constant(2.0)

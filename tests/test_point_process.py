@@ -15,11 +15,15 @@ from fkmoments import (
     ZeroKernel,
     estimate_second_moment_fractional,
     estimate_second_moment_white,
-    mc_hypercube_integral,
 )
 from fkmoments.mc_engine import _fractional_points
 from fkmoments.point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
-from fkmoments.verify import _rectangle_counts, check_conditional_uniformity, check_poisson_law
+from fkmoments.verify import (
+    _rectangle_counts,
+    check_conditional_uniformity,
+    check_poisson_law,
+    hypercube_integrals,
+)
 
 ALPHA = 1e-3
 K75 = TemporalKernel(0.75)
@@ -234,28 +238,27 @@ class TestLinearJumpTimes:
 
 
 class TestHypercubeIntegral:
+    """The count identity, read off the replicate engine's per-order columns."""
+
     def test_constant_integrand(self):
-        rng = make_rng(22)
+        integrals = hypercube_integrals(lambda ta, sa: np.ones(ta.shape[0]), 1.0, 1.0, 200_000, 22)
         for n in (1, 2, 3):
-            est, se = mc_hypercube_integral(
-                lambda ta, sa: np.ones(ta.shape[0]), n, 1.0, 1.0, 200_000, rng
-            )
+            est, se = integrals[n]
             assert abs(est - 1.0) <= 3 * se
 
     def test_separable_polynomial(self):
-        rng = make_rng(23)
+        integrals = hypercube_integrals(
+            lambda ta, sa: np.prod(ta * sa, axis=1), 1.0, 1.0, 200_000, 23
+        )
         for n in (1, 2, 3):
-            est, se = mc_hypercube_integral(
-                lambda ta, sa: np.prod(ta * sa, axis=1), n, 1.0, 1.0, 200_000, rng
-            )
+            est, se = integrals[n]
             assert abs(est - 4.0 ** (-n)) <= 3 * se
 
     def test_eta_product_recovers_mass(self):
         k = TemporalKernel(0.75)
-        rng = make_rng(24)
-        est, se = mc_hypercube_integral(
-            lambda ta, sa: k.eta(1.0 - ta, 1.0 - sa)[:, 0], 1, 1.0, 1.0, 200_000, rng
-        )
+        est, se = hypercube_integrals(
+            lambda ta, sa: k.eta(1.0 - ta, 1.0 - sa)[:, 0], 1.0, 1.0, 200_000, 24
+        )[1]
         assert abs(est - k.mass(1.0, 1.0)) <= 3 * se
 
     def test_unbiased_across_seeds(self):
@@ -270,12 +273,11 @@ class TestHypercubeIntegral:
         for F, n, truth in cases:
             hits = 0
             for seed in (101, 202, 303):
-                est, se = mc_hypercube_integral(F, n, 1.0, 1.0, 100_000, make_rng(seed))
+                est, se = hypercube_integrals(F, 1.0, 1.0, 100_000, seed)[n]
                 hits += abs(est - truth) <= 3 * se
             assert hits >= 2
 
     def test_replicate_floor(self):
-        with pytest.raises(DomainError):
-            mc_hypercube_integral(
-                lambda ta, sa: np.ones(ta.shape[0]), 1, 1.0, 1.0, 1, make_rng(0)
-            )
+        # the engine needs at least one replicate per stderr batch
+        with pytest.raises(DomainError, match="batch_count"):
+            hypercube_integrals(lambda ta, sa: np.ones(ta.shape[0]), 1.0, 1.0, 31, 0)
