@@ -14,11 +14,9 @@ time integrals are evaluated with the singularity-absorbing pair rules of
 tensor quadrature is not a desk-scale computation beyond that); the
 remainder is covered by an explicitly heuristic geometric tail estimate.
 
-The contractions assemble the closed form from pairwise entries of
-I + Sigma/h.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
-diagonal jitter is added, repeated nodes included.  At order 3 the
-cofactors that depend only on a pair of nodes are computed once per rung
-(see :func:`_contract_order3`).
+One blocked multiset contraction (:func:`_contract_gaussian`) serves
+orders 2 and 3.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
+diagonal jitter is added, repeated nodes included.
 
 Both series certify convergence on one ladder (:func:`_certify`): each
 order is refined until two successive rungs differ by at most ``tol``
@@ -38,11 +36,19 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .gaussian_paths import (
     block_det,
+    closed_form_factors,
     det_qsum_2,
     det_qsum_3,
     gaussian_product_expectation_batch,
 )
-from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel, initial_field
+from .kernels import (
+    Constant,
+    HeatKernel,
+    TemporalKernel,
+    ZeroKernel,
+    initial_field,
+    require_kernel_dim,
+)
 from .quadrature import eta_pair_rule, simplex_rule
 
 __all__ = [
@@ -60,8 +66,8 @@ __all__ = [
 
 MAX_ORDER = 3
 
-# tuples per block of the n = 3 contraction: the block's working arrays
-# (about twenty of 64 KB) stay in L2 cache
+# tuples per block of the contraction: the block's working arrays (about
+# twenty of 64 KB) stay in L2 cache
 _BLOCK = 8192
 
 # (depth_u, depth_r) refinement ladders per chaos order; deeper tensor
@@ -90,6 +96,9 @@ class QueryPoint:
         object.__setattr__(self, "y", _as_point(self.y))
         if len(self.x) != len(self.y):
             raise DomainError("query points x and y must share a dimension")
+        for name, point in (("x", self.x), ("y", self.y)):
+            if not all(map(math.isfinite, point)):
+                raise DomainError(f"query point {name} must be finite, got {point}")
         if not (0.0 <= self.t <= 1.0 and 0.0 <= self.s <= 1.0):
             raise DomainError(f"times must lie in [0, 1], got t={self.t} s={self.s}")
 
@@ -157,6 +166,7 @@ def inner_product_closed_form(t_times, s_times, q: QueryPoint, f, u0) -> float:
     exactly c^2 regardless of t*, s*.
     """
     _require_closed_form(f, u0)
+    require_kernel_dim(f, q.dim)
     t_times = np.asarray(t_times, dtype=float)
     s_times = np.asarray(s_times, dtype=float)
     if t_times.ndim != 1 or t_times.shape != s_times.shape:
@@ -186,115 +196,83 @@ def _contract_gaussian(
     """Symmetric tensor contraction of a pair rule against the closed form.
 
     ``a``, ``b`` are the elapsed-time coordinates of the rule nodes and
-    ``w`` their weights.  The integrand evaluated on an index tuple is the
-    closed-form Gaussian product expectation, assembled from pairwise
-    covariance entries; symmetry under simultaneous permutations lets the
-    sum run over index multisets with multiplicity factors.
+    ``w`` their weights.  Order 1 is one batched closed form.  At n = 2, 3
+    the sum runs over tuples (i, rest), each (n - 1)-multiset rest listed
+    once in lexicographic order: the nodes j, or the ``np.triu_indices``
+    pairs j <= k.  The tuple's M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]]
+    (n = 2: [[a,b],[b,d]]) takes a, b, c from row i and the rest from data
+    computed once per rung: d at n = 2; at n = 3 e = Sigma_jk/h, p = f - e,
+    q = d - e and c00 = d f - e^2.  Rests with j = i are summed for every
+    i in one pass; rests with j > i are the suffix of the table after row
+    i's, each tuple weighted by its multiplicity n!/prod(counts!).  Sums
+    run in blocks of ``_BLOCK`` tuples through preallocated buffers, so
+    the per-rest arrays set the peak memory (eight of m (m + 1) / 2 at n = 3).
     """
-    m = w.size
-    norm = (2.0 * math.pi * h) ** (-0.5 * n * d)
-    if n == 3:
-        return norm * _contract_order3(a, b, w, h, d, off2)
-    one = 1.0 + (a + b) / h
     if n == 1:
-        vals = norm * one ** (-0.5 * d) * np.exp(-0.5 * off2 / (h * one))
+        vals = gaussian_product_expectation_batch(a[:, None], b[:, None], h, d, off2)
         return float(np.dot(w, vals))
-    if n != 2:
+    if n not in (2, 3):
         raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
-    total = 0.0
-    for i in range(m):
-        # entries j >= i of row i of the pair covariance matrix
-        bb = (np.minimum(a[i], a[i:]) + np.minimum(b[i], b[i:])) / h
-        det, qsum = det_qsum_2(one[i], bb, one[i:])
-        vals = norm * det ** (-0.5 * d)
-        # exp(-0.0 * q) is exactly 1
-        if off2 != 0.0:
-            vals *= np.exp(-0.5 * off2 * qsum / h)
-        # multiplicity 1 for j = i, 2 for j > i
-        weights = w[i] * w[i:]
-        weights[1:] *= 2.0
-        total += float(np.dot(weights, vals))
-    return total
-
-
-def _contract_order3(a, b, w, h, d, off2) -> float:
-    """Order-3 multiset sum over i <= j <= k, without the normalisation.
-
-    The tuple (i, j, k) has M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]],
-    and :func:`fkmoments.gaussian_paths.det_qsum_3` takes it as (a, b, c)
-    from row i and (e, p, q, c00) from the pair j <= k alone, with
-    e = Sigma_jk/h, p = f - e, q = d - e and c00 = d f - e^2 =
-    p q + e (p + q).  Those four are computed once per rung, in
-    ``np.triu_indices`` order; det >= 1 because Sigma is a covariance, so
-    no jitter is added.  The tuples of row i are the suffix that starts at
-    the pair (i, i).  Its first m - i pairs have j = i and multiplicity 1
-    (k = i) or 3; the rest have multiplicity 3 (j = k) or 6.  Each part of
-    the suffix is summed in blocks of ``_BLOCK`` tuples through
-    preallocated buffers.  Per pair, only e, p, q, c00, the two weight
-    arrays and the indices are kept: those eight arrays of m (m + 1) / 2
-    entries set the peak memory.
-    """
     m = w.size
-    one = 1.0 + (a + b) / h
-    jj, kk = np.triu_indices(m)
-    e = np.minimum(a[jj], a[kk])
-    e += np.minimum(b[jj], b[kk])
-    e /= h
-    p = one[kk]
-    p -= e
-    q = one[jj]
-    q -= e
-    c00 = block_det(e, p, q)
-    # multiplicities: head (j = i) 1 or 3, rest (j > i) 3 or 6, the
-    # smaller one where j = k
-    on_diag = np.flatnonzero(jj == kk)
-    head_w = w[jj]
-    head_w *= w[kk]
-    rest_w = head_w * 6.0
-    rest_w[on_diag] = head_w[on_diag] * 3.0
-    diag_w = head_w[on_diag]
-    head_w *= 3.0
-    head_w[on_diag] = diag_w
-    buffers = np.empty((4, min(_BLOCK, jj.size)))
-    power = -0.5 * d
-    total = 0.0
-    row_start = 0
-    for i in range(m):
-        pair_i = (np.minimum(a[i], a) + np.minimum(b[i], b)) / h
-        rest_start = row_start + m - i
+    sigma = (a + b) / h
+    one = 1.0 + sigma
+    if n == 2:
+        det_qsum, rest, rest_cols = det_qsum_2, (np.arange(m),), (one,)
+        repeats = rest[0]
+    else:
+        det_qsum, rest = det_qsum_3, np.triu_indices(m)
+        jj, kk = rest
+        e = (np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])) / h
+        p, q = one[kk] - e, one[jj] - e
+        rest_cols = (e, p, q, block_det(e, p, q))
+        repeats = np.flatnonzero(jj == kk)
+    first = rest[0]
+    size = first.size
+    past_w = np.take(w, first)
+    for idx in rest[1:]:
+        past_w *= w[idx]
+    head_w = np.take(w, first)
+    head_w *= past_w
+    # at j = i: n, or 1 if the rest repeats one index; past row i: n!, or n
+    for weights, mult, mult_rep in ((head_w, n, 1.0), (past_w, math.factorial(n), n)):
+        rep = weights[repeats] * mult_rep
+        weights *= mult
+        weights[repeats] = rep
+    buffers = np.empty((4, min(_BLOCK, size)))
+    pair_i = np.empty(m)
+
+    def blocks(lo, weights, a_i=None):
+        """Sum over the rests from lo on of the tuples (i, rest), with M_ii =
+        a_i and M_ij = pair_i[j], or of the tuples (j, rest) if a_i is None."""
         acc = 0.0
-        for lo, hi, weights in (
-            (row_start, rest_start, head_w),
-            (rest_start, jj.size, rest_w),
-        ):
-            for pos in range(lo, hi, _BLOCK):
-                blk = slice(pos, min(pos + _BLOCK, hi))
-                bb, cc, det, qsum = buffers[:, : blk.stop - pos]
-                # indices are always in range; "clip" lets take write into
-                # out without an intermediate copy
-                np.take(pair_i, jj[blk], out=bb, mode="clip")
-                np.take(pair_i, kk[blk], out=cc, mode="clip")
-                # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
-                qsum_out = qsum if off2 != 0.0 else None
-                det_qsum_3(
-                    one[i], bb, cc, e[blk], p[blk], q[blk], c00[blk], out=(det, qsum_out)
-                )
-                # weight * det^(-d/2); sqrt and a division beat the power
-                if d == 1:
-                    np.sqrt(det, out=det)
-                    np.divide(weights[blk], det, out=det)
-                else:
-                    np.power(det, power, out=det)
-                    det *= weights[blk]
-                if off2 != 0.0:
-                    qsum *= -0.5 * off2 / h
-                    np.exp(qsum, out=qsum)
-                    acc += float(np.dot(det, qsum))
-                else:
-                    acc += float(np.sum(det))
-        total += w[i] * acc
-        row_start = rest_start
-    return float(total)
+        for pos in range(lo, size, _BLOCK):
+            blk = slice(pos, min(pos + _BLOCK, size))
+            det, qsum, col0, col1 = buffers[:, : blk.stop - pos]
+            # indices are in range; "clip" lets take write into out directly
+            if a_i is None:
+                # i = j: a = M_jj, b = Sigma_jj/h and, at n = 3, c = e
+                np.take(one, first[blk], out=col0, mode="clip")
+                np.take(sigma, first[blk], out=col1, mode="clip")
+                row = (col0, col1, *(col[blk] for col in rest_cols[: n - 2]))
+            else:
+                for col, idx in zip((col0, col1), rest):
+                    np.take(pair_i, idx[blk], out=col, mode="clip")
+                row = (a_i, col0, col1)[:n]  # a, b and, at n = 3, c
+            # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
+            out = (det, qsum if off2 != 0.0 else None)
+            det_qsum(*row, *(col[blk] for col in rest_cols), out=out)
+            vals, expo = closed_form_factors(det, qsum, h, d, off2, weights[blk])
+            acc += float(vals.sum() if expo is None else np.dot(vals, expo))
+        return acc
+
+    total = blocks(0, head_w)
+    for i in range(m - 1):
+        # rests past row i hold only nodes j > i
+        seg = np.minimum(a[i], a[i + 1 :], out=pair_i[i + 1 :])
+        seg += np.minimum(b[i], b[i + 1 :])
+        seg /= h
+        total += w[i] * blocks(np.searchsorted(first, i + 1), past_w, one[i])
+    return float((2.0 * math.pi * h) ** (-0.5 * n * d) * total)
 
 
 def series_settings(n_max: int, tol: float) -> tuple[int, float]:
@@ -370,6 +348,7 @@ def alpha_n_quadrature(
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
+    require_kernel_dim(f, q.dim)
     if isinstance(f, ZeroKernel):
         return 0.0
     _require_closed_form(f, u0)
@@ -398,6 +377,7 @@ def second_moment_series(
 ) -> SeriesResult:
     """Zeroth term plus orders 1..n_max of the second-moment series; each
     order is certified relative to the running series magnitude."""
+    require_kernel_dim(f, q.dim)
     zeroth = float(initial_field(u0, q.t, q.x_arr)) * float(
         initial_field(u0, q.s, q.y_arr)
     )
@@ -409,15 +389,16 @@ def second_moment_series(
     return _series(n_max, tol, zeroth, q.t * q.s, f, order_term)
 
 
-def white_points(t: float, x, y):
-    """x and y as arrays of one dimension, for a time t >= 0: the domain
-    check of both white-in-time routes."""
+def white_points(t: float, x, y, f):
+    """x and y as arrays of the kernel's dimension, for a time t >= 0: the
+    domain check of both white-in-time routes."""
     if not t >= 0.0:
         raise DomainError(f"time must be nonnegative, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise DomainError("query points x and y must share a dimension")
+    require_kernel_dim(f, x.shape[0])
     return x, y
 
 
@@ -435,7 +416,7 @@ def white_noise_order_term(
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
-    x, y = white_points(t, x, y)
+    x, y = white_points(t, x, y, f)
     if isinstance(f, ZeroKernel):
         return 0.0
     _require_closed_form(f, u0)
@@ -457,7 +438,7 @@ def white_noise_order_term(
 def white_noise_series(t: float, x, y, f, u0, n_max: int, tol: float) -> SeriesResult:
     """Zeroth term plus orders 1..n_max of the white-in-time series at
     equal times t; unlike :func:`second_moment_series`, no scale floor."""
-    x, y = white_points(t, x, y)
+    x, y = white_points(t, x, y, f)
     zeroth = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
 
     def order_term(n, scale, trace):

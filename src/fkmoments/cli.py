@@ -152,12 +152,12 @@ def _estimate_record(rc: RunConfig, est, command: str) -> dict:
         rec[f"order_{n}_count"] = count
     rec["residual"] = est.residual
     diag = est.diagnostics
-    rec["stderr_naive"] = diag.get("naive_stderr", 0.0)
-    rec["max_abs_replicate"] = diag.get("max_abs_replicate", 0.0)
-    rec["abs_replicate_q999"] = diag.get("abs_replicate_q999", 0.0)
-    rec["effective_sample_size"] = diag.get("effective_sample_size", 0.0)
-    rec["singular_hits"] = diag.get("singular_hits", 0)
-    rec["variance_warning"] = diag.get("variance_warning")
+    rec["stderr_naive"] = diag["naive_stderr"]
+    rec["max_abs_replicate"] = diag["max_abs_replicate"]
+    rec["abs_replicate_q999"] = diag["abs_replicate_q999"]
+    rec["effective_sample_size"] = diag["effective_sample_size"]
+    rec["singular_hits"] = diag["singular_hits"]
+    rec["variance_warning"] = diag["variance_warning"]
     return _with_config_echo(rec, rc)
 
 
@@ -194,7 +194,7 @@ def _run_estimator(rc: RunConfig):
         est = estimate_second_moment_white(q.t, q.x, q.y, f, u0, cfg)
     else:
         est = estimate_second_moment_fractional(q, kernel, f, u0, cfg)
-    if est.diagnostics.get("variance_warning"):
+    if est.diagnostics["variance_warning"]:
         click.echo(f"warning: {est.diagnostics['variance_warning']}", err=True)
     return est
 

@@ -13,9 +13,12 @@ vector with mean x - y and per-coordinate covariance
 
 and the expectation of a product of heat kernels of those differences has
 the closed form implemented by :func:`gaussian_product_expectation_batch`.
-Sigma is a covariance, so every eigenvalue of I + Sigma/h is at least 1:
-the closed form needs no diagonal jitter, even when times repeat and
-Sigma is singular.
+It is finished from det(I + Sigma/h) and ones' (I + Sigma/h)^{-1} ones by
+:func:`closed_form_factors`, which the oracle's contraction also calls on
+each block of tuples, with the cofactor formulas :func:`det_qsum_2` and
+:func:`det_qsum_3`.  Sigma is a covariance, so every eigenvalue of
+I + Sigma/h is at least 1: the closed form needs no diagonal jitter, even
+when times repeat and Sigma is singular.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ def brownian_batch_nd(
     return out
 
 
-def det_qsum_2(a, b, c):
-    """det and ones' M^{-1} ones for symmetric [[a, b], [b, c]]."""
-    det = a * c - b * b
-    return det, (a + c - 2.0 * b) / det
+def det_qsum_2(a, b, c, out=None):
+    """det and ones' M^{-1} ones for symmetric M = [[a, b], [b, c]]; ``out``
+    as in :func:`det_qsum_3`."""
+    det, qsum = (None, None) if out is None else out
+    det = np.subtract(a * c, b * b, out=det)
+    if out is not None and qsum is None:
+        return det, None
+    return det, np.divide(a + c - 2.0 * b, det, out=qsum)
 
 
 def block_det(e, p, q):
@@ -112,6 +119,24 @@ def det_qsum_3(a, b, c, e, p, q, c00, out=None):
     return det, qsum
 
 
+def closed_form_factors(det, qsum, h: float, dim: int, off_sq: float, weights):
+    """The factors weights det^(-dim/2) and exp(-off_sq qsum / (2 h)) of each
+    closed-form term, written into ``det`` and ``qsum`` and returned.  At
+    off_sq = 0 the exponential is exactly 1: ``qsum`` is not read (it may be
+    None) and None is returned in its place."""
+    # sqrt and a division beat the power
+    if dim == 1:
+        np.sqrt(det, out=det)
+        np.divide(weights, det, out=det)
+    else:
+        np.power(det, -0.5 * dim, out=det)
+        det *= weights
+    if off_sq == 0.0:
+        return det, None
+    qsum *= -0.5 * off_sq / h
+    return det, np.exp(qsum, out=qsum)
+
+
 def gaussian_product_expectation_batch(
     t_mat: np.ndarray, s_mat: np.ndarray, h: float, dim: int, off_sq: float
 ) -> np.ndarray:
@@ -125,10 +150,11 @@ def gaussian_product_expectation_batch(
         (2 pi h)^(-n d / 2) det(I + Sigma/h)^(-d/2)
             exp(-|offset|^2 ones' (h I + Sigma)^{-1} ones / 2)
 
-    with ``off_sq`` = |offset|^2.  For n = 1 this is the heat density
-    p_{h+Sigma}(offset).  Cofactor formulas serve n <= 3 and batched
-    linear algebra beyond.  Every eigenvalue of I + Sigma/h is >= 1, so
-    the matrix is never singular, repeated times included.
+    with ``off_sq`` = |offset|^2, finished by :func:`closed_form_factors`.
+    For n = 1 this is the heat density p_{h+Sigma}(offset).  Cofactor
+    formulas serve n <= 3 and batched linear algebra beyond.  Every
+    eigenvalue of I + Sigma/h is >= 1, so the matrix is never singular,
+    repeated times included.
     """
     t_mat = np.asarray(t_mat, dtype=float)
     s_mat = np.asarray(s_mat, dtype=float)
@@ -166,9 +192,6 @@ def gaussian_product_expectation_batch(
         det = np.linalg.det(mm)
         sol = np.linalg.solve(mm, np.ones((m_count, n, 1)))[..., 0]
         qsum = np.sum(sol, axis=1)
-    quad_form = qsum / h
-    return (
-        (2.0 * math.pi * h) ** (-0.5 * n * dim)
-        * det ** (-0.5 * dim)
-        * np.exp(-0.5 * off_sq * quad_form)
-    )
+    norm = (2.0 * math.pi * h) ** (-0.5 * n * dim)
+    vals, expo = closed_form_factors(det, qsum, h, dim, off_sq, norm)
+    return vals if expo is None else vals * expo

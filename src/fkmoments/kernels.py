@@ -98,6 +98,12 @@ class TemporalKernel:
 # ---------------------------------------------------------------------------
 
 
+def _require_positive(name: str, value: float) -> None:
+    # NaN fails the comparison, so it is rejected too
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SpatialKernel:
     """Base for pointwise-evaluable spatial covariance kernels.
@@ -125,8 +131,7 @@ class HeatKernel(SpatialKernel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.bandwidth <= 0:
-            raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
+        _require_positive("bandwidth", self.bandwidth)
 
     def values(self, x):
         return heat_density(self.bandwidth, x)
@@ -169,8 +174,7 @@ class PoissonKernel(SpatialKernel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        _require_positive("scale", self.scale)
 
     @property
     def _const(self) -> float:
@@ -191,6 +195,13 @@ class ZeroKernel(SpatialKernel):
         r2 = _sq_norm(x)
         out = np.zeros_like(np.asarray(r2, dtype=float))
         return out if np.ndim(out) else 0.0
+
+
+def require_kernel_dim(f, dim: int) -> None:
+    """DomainError unless the kernel ``f`` acts on points of dimension
+    ``dim``; every route checks this before any shortcut."""
+    if f.dim != dim:
+        raise DomainError(f"kernel dimension {f.dim} != query dimension {dim}")
 
 
 # Existence of the underlying solution is only guaranteed on part of the
@@ -232,6 +243,10 @@ class Constant:
 
     value: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"value must be finite, got {self.value}")
+
     def field(self, t, x):
         """w(t, x) for constant data is the constant itself."""
         shape = np.broadcast_shapes(np.shape(t), np.shape(x)[:-1] if np.ndim(x) else ())
@@ -255,9 +270,12 @@ class GaussianBump:
     _center_arr: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise DomainError(f"width must be positive, got {self.width}")
+        _require_positive("width", self.width)
+        if not math.isfinite(self.amplitude):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if not np.all(np.isfinite(c)):
+            raise DomainError(f"center must be finite, got {self.center}")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
         object.__setattr__(self, "_center_arr", c)
 

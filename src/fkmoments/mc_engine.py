@@ -48,7 +48,14 @@ import numpy as np
 from .chaos_oracle import white_points
 from .errors import DomainError, NumericError
 from .gaussian_paths import brownian_batch_nd
-from .kernels import Constant, SpatialKernel, TemporalKernel, ZeroKernel, initial_field
+from .kernels import (
+    Constant,
+    SpatialKernel,
+    TemporalKernel,
+    ZeroKernel,
+    initial_field,
+    require_kernel_dim,
+)
 from .point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
 
 __all__ = [
@@ -411,17 +418,12 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
     return evaluate, wfac
 
 
-def _require_query_dim(f: SpatialKernel, q) -> None:
-    if f.dim != q.dim:
-        raise DomainError(f"kernel dimension {f.dim} != query dimension {q.dim}")
-
-
 def estimate_second_moment_fractional(
     q, k: TemporalKernel, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment E[u_{t,x} u_{s,y}] via the planar-Poisson representation."""
     t, s = q.t, q.s
-    _require_query_dim(f, q)
+    require_kernel_dim(f, q.dim)
     w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if t * s == 0.0:
         return _degenerate_estimate(w_pair, cfg)
@@ -438,9 +440,7 @@ def estimate_second_moment_white(
     t: float, x, y, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment at equal times via the linear-Poisson representation."""
-    x, y = white_points(t, x, y)
-    if f.dim != x.shape[0]:
-        raise DomainError(f"kernel dimension {f.dim} != query dimension {x.shape[0]}")
+    x, y = white_points(t, x, y, f)
     w_pair = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
     if t == 0.0:
         return _degenerate_estimate(w_pair, cfg)
@@ -469,7 +469,7 @@ def estimate_order_contribution(
     """
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
-    _require_query_dim(f, q)
+    require_kernel_dim(f, q.dim)
     t, s = q.t, q.s
     w_pair = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, s, q.y_arr))
     if n == 0:
@@ -496,7 +496,7 @@ def estimate_inner_product_mc(
     s_times = np.asarray(s_times, dtype=float)
     if t_times.shape != s_times.shape or t_times.ndim != 1:
         raise DomainError("time lists must be one-dimensional and equal length")
-    _require_query_dim(f, q)
+    require_kernel_dim(f, q.dim)
     w_pair = float(initial_field(u0, q.t, q.x_arr)) * float(initial_field(u0, q.s, q.y_arr))
     if t_times.size == 0:
         return w_pair, 0.0

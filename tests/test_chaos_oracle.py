@@ -323,7 +323,8 @@ class TestWhiteNoiseSeries:
         assert series.tail_estimate == truncation_tail(orders)
 
     def test_zero_time_skips_the_orders(self):
-        series = white_noise_series(0.0, (0.0,), (0.0,), RieszKernel(dim=2, order=1.0), CONST1, 2, 1e-5)
+        riesz = RieszKernel(dim=2, order=1.0)
+        series = white_noise_series(0.0, (0.0, 0.0), (0.0, 0.0), riesz, CONST1, 2, 1e-5)
         assert series.order_terms == [0.0, 0.0] and series.total == 1.0
 
     def test_refinement_trace_matches_the_order_terms(self):
@@ -363,6 +364,38 @@ class TestSeriesSettings:
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         with pytest.raises(DomainError, match="n_max"):
             second_moment_series(q, TemporalKernel(0.75), HEAT1, CONST1, n_max=n_max, tol=1e-5)
+
+
+Q1 = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+
+# every closed-form entry point, called with spatial kernel f on 1-d points
+ORACLE_ROUTES = {
+    "second_moment_series": lambda f: second_moment_series(
+        Q1, TemporalKernel(0.75), f, CONST1, 2, 1e-5
+    ),
+    "alpha_n_quadrature": lambda f: alpha_n_quadrature(
+        1, Q1, TemporalKernel(0.75), f, CONST1, 1e-5
+    ),
+    "inner_product_closed_form": lambda f: inner_product_closed_form([0.2], [0.3], Q1, f, CONST1),
+    "white_noise_order_term": lambda f: white_noise_order_term(
+        1, 0.5, (0.0,), (0.0,), f, CONST1, 1e-5
+    ),
+    "white_noise_series": lambda f: white_noise_series(0.5, (0.0,), (0.0,), f, CONST1, 2, 1e-5),
+}
+
+
+class TestKernelDimension:
+    @pytest.mark.parametrize("route", sorted(ORACLE_ROUTES))
+    def test_rejects_kernel_of_another_dimension(self, route):
+        with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
+            ORACLE_ROUTES[route](HeatKernel(dim=2))
+
+    # the zero kernel is not a closed form, but the routes that accept it
+    # must check its dimension before they return 0
+    @pytest.mark.parametrize("route", sorted(set(ORACLE_ROUTES) - {"inner_product_closed_form"}))
+    def test_checked_before_the_zero_kernel_shortcut(self, route):
+        with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
+            ORACLE_ROUTES[route](ZeroKernel(dim=2))
 
 
 class TestTruncationTail:

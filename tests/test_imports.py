@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fkmoments
+from fkmoments import chaos_oracle
 
 # Importing the package and its CLI must not load scipy; only the verify
 # checks that need scipy.stats import it, when they run.
@@ -44,15 +47,45 @@ def test_cold_import_loads_no_scipy():
     assert all(0.0 <= stat <= 1.0 for _, stat in out["checks"])
 
 
-def test_traced_names_are_module_attributes(monkeypatch):
-    # the benchmark's span recorder replaces these attributes in place;
-    # each must stay a name its module looks up at call time
+def _load_spans(monkeypatch):
+    """perfbench/spans.py, loaded read-only by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_are_module_attributes(monkeypatch):
+    # the benchmark's span recorder replaces these attributes in place;
+    # each must stay a name its module looks up at call time
+    spans = _load_spans(monkeypatch)
     assert spans._FUNCTIONS
     for module_name, attr, *_ in spans._FUNCTIONS:
         assert attr in importlib.import_module(module_name).__dict__, (module_name, attr)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contraction_calls_the_traced_det_qsum(monkeypatch, n):
+    # the per-layer det_qsum metrics count the calls that go through the
+    # chaos_oracle attributes; a contraction that bound the functions
+    # elsewhere would read 0 there
+    spans = _load_spans(monkeypatch)
+    traced = {attr for module, attr, *_ in spans._FUNCTIONS if module == chaos_oracle.__name__}
+    calls = dict.fromkeys(("det_qsum_2", "det_qsum_3"), 0)
+    assert set(calls) <= traced
+    for attr in calls:
+        original = getattr(chaos_oracle, attr)
+
+        def counted(*args, attr=attr, original=original, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_oracle, attr, counted)
+    q = fkmoments.QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+    k, f, u0 = fkmoments.TemporalKernel(0.75), fkmoments.HeatKernel(dim=1), fkmoments.Constant()
+    # tol = 1 accepts the second rung
+    fkmoments.alpha_n_quadrature(n, q, k, f, u0, tol=1.0)
+    assert calls[f"det_qsum_{n}"] > 0

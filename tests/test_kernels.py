@@ -9,6 +9,7 @@ from fkmoments import (
     GaussianBump,
     HeatKernel,
     PoissonKernel,
+    QueryPoint,
     RieszKernel,
     TemporalKernel,
     ZeroKernel,
@@ -17,6 +18,7 @@ from fkmoments import (
 )
 
 RNG = np.random.default_rng(12345)
+NAN = float("nan")
 
 
 class TestTemporalKernel:
@@ -180,3 +182,30 @@ class TestInitialField:
         u0 = GaussianBump()
         with pytest.raises(DomainError):
             initial_field(u0, -0.1, (0.0,))
+
+
+# NaN passes a check written as "x <= 0 is an error", so each field is
+# checked for finiteness; the message names the field, which the config
+# layer maps to its key
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        pytest.param("bandwidth", lambda: HeatKernel(dim=1, bandwidth=NAN), id="heat-nan"),
+        pytest.param("bandwidth", lambda: HeatKernel(dim=1, bandwidth=math.inf), id="heat-inf"),
+        pytest.param("scale", lambda: PoissonKernel(dim=1, scale=NAN), id="poisson-nan"),
+        pytest.param("width", lambda: GaussianBump(width=NAN), id="bump-width-nan"),
+        pytest.param("amplitude", lambda: GaussianBump(amplitude=NAN), id="bump-amplitude-nan"),
+        pytest.param("center", lambda: GaussianBump(center=(0.0, NAN)), id="bump-center-nan"),
+        pytest.param("value", lambda: Constant(NAN), id="constant-nan"),
+        pytest.param("value", lambda: Constant(-math.inf), id="constant-inf"),
+        pytest.param(
+            "x", lambda: QueryPoint(t=0.5, s=0.5, x=(NAN,), y=(0.0,)), id="query-x-nan"
+        ),
+        pytest.param(
+            "y", lambda: QueryPoint(t=0.5, s=0.5, x=(0.0, 0.0), y=(0.0, math.inf)), id="query-y-inf"
+        ),
+    ],
+)
+def test_non_finite_parameters_rejected_at_construction(field, build):
+    with pytest.raises(DomainError, match=rf"\b{field} must be"):
+        build()

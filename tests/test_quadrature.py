@@ -165,6 +165,19 @@ class TestSymmetricContraction:
             tracemalloc.stop()
         assert peak < 22e6
 
+    def test_order2_peak_memory_on_series2_rung(self):
+        # one order-2 contraction on the rung (2, 2) of a series2 query:
+        # m = 3984, so a table of all m^2 pairs would take more than 60 MB
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 2, 2)
+        assert w.size == 3984
+        tracemalloc.start()
+        try:
+            _contract_gaussian(1.0 - u, 0.6 - v, w, 2, 1.0, 1, 0.09)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_fast_path_matches_generic(self, n):
         t = s = 0.5
