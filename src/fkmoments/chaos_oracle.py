@@ -15,7 +15,9 @@ tensor quadrature is not a desk-scale computation beyond that); the
 remainder is covered by an explicitly heuristic geometric tail estimate.
 
 One blocked multiset contraction (:func:`_contract_gaussian`) serves
-orders 2 and 3.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
+orders 2 and 3.  It sums panels of consecutive rows, as many as fit one
+block of tuples, so order 2 makes one Python loop turn per panel rather
+than per node.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
 diagonal jitter is added, repeated nodes included.
 
 Both series certify convergence on one ladder (:func:`_certify`): each
@@ -66,9 +68,11 @@ __all__ = [
 
 MAX_ORDER = 3
 
-# tuples per block of the contraction: the block's working arrays (about
-# twenty of 64 KB) stay in L2 cache
-_BLOCK = 8192
+# tuples per block of the contraction, a whole panel of rows where their
+# rests are short.  Larger blocks make fewer Python calls per tuple; order
+# 3 slows down above this size, once the block's working arrays (about
+# fourteen of 128 KB) outgrow a 2 MB L2 cache.
+_BLOCK = 16384
 
 # (depth_u, depth_r) refinement ladders per chaos order; deeper tensor
 # grids for higher n are not affordable, which the scale-floor tolerance
@@ -165,8 +169,8 @@ def inner_product_closed_form(t_times, s_times, q: QueryPoint, f, u0) -> float:
     with B1 from x, B2 from y; for constant data the w factors contribute
     exactly c^2 regardless of t*, s*.
     """
-    _require_closed_form(f, u0)
     require_kernel_dim(f, q.dim)
+    _require_closed_form(f, u0)
     t_times = np.asarray(t_times, dtype=float)
     s_times = np.asarray(s_times, dtype=float)
     if t_times.ndim != 1 or t_times.shape != s_times.shape:
@@ -198,15 +202,25 @@ def _contract_gaussian(
     ``a``, ``b`` are the elapsed-time coordinates of the rule nodes and
     ``w`` their weights.  Order 1 is one batched closed form.  At n = 2, 3
     the sum runs over tuples (i, rest), each (n - 1)-multiset rest listed
-    once in lexicographic order: the nodes j, or the ``np.triu_indices``
-    pairs j <= k.  The tuple's M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]]
-    (n = 2: [[a,b],[b,d]]) takes a, b, c from row i and the rest from data
-    computed once per rung: d at n = 2; at n = 3 e = Sigma_jk/h, p = f - e,
-    q = d - e and c00 = d f - e^2.  Rests with j = i are summed for every
-    i in one pass; rests with j > i are the suffix of the table after row
-    i's, each tuple weighted by its multiplicity n!/prod(counts!).  Sums
-    run in blocks of ``_BLOCK`` tuples through preallocated buffers, so
-    the per-rest arrays set the peak memory (eight of m (m + 1) / 2 at n = 3).
+    once, ordered by its largest node k: the nodes k, or the
+    ``np.tril_indices`` pairs (k, j) with j <= k.  The tuple's
+    M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]] (n = 2: [[a,b],[b,d]])
+    takes a, b, c from row i and the rest from data computed once per
+    rung: d at n = 2; at n = 3 e = Sigma_jk/h, p = f - e, q = d - e and
+    c00 = d f - e^2.  Rests with k < i are the prefix of the table before
+    row i's; rests with k = i are summed for every i in one final pass.
+    Each tuple is weighted by its multiplicity n!/prod(counts!).
+
+    Rows i are summed in panels: as many consecutive rows as fit one block
+    of ``_BLOCK`` tuples against the prefix of the panel's last row, or a
+    lone row whose prefix is split into blocks.  Each panel builds its
+    rows' Sigma_ij/h for the j of that prefix once, and its rows' tuples
+    past their own prefix get weight 0 (their M is still a valid matrix).
+    Blocks run through four preallocated buffers of ``_BLOCK`` floats and
+    a panel's Sigma_ij/h has at most max(_BLOCK, m) entries, so at n = 3
+    the per-rest arrays set the peak memory (seven of m (m + 1) / 2, one
+    of them the weights of the pass that runs, and an eighth while they
+    are built), and at n = 2 the buffers and the block's temporaries do.
     """
     if n == 1:
         vals = gaussian_product_expectation_batch(a[:, None], b[:, None], h, d, off2)
@@ -214,64 +228,104 @@ def _contract_gaussian(
     if n not in (2, 3):
         raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
     m = w.size
-    sigma = (a + b) / h
+    # entries of Sigma/h are sums of minima of a/h and of b/h
+    a, b = a / h, b / h
+    sigma = a + b
     one = 1.0 + sigma
     if n == 2:
         det_qsum, rest, rest_cols = det_qsum_2, (np.arange(m),), (one,)
         repeats = rest[0]
     else:
-        det_qsum, rest = det_qsum_3, np.triu_indices(m)
-        jj, kk = rest
-        e = (np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])) / h
-        p, q = one[kk] - e, one[jj] - e
+        det_qsum, rest = det_qsum_3, np.tril_indices(m)
+        kk, jj = rest
+        e = np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])
+        p, q = one[jj] - e, one[kk] - e
         rest_cols = (e, p, q, block_det(e, p, q))
         repeats = np.flatnonzero(jj == kk)
-    first = rest[0]
-    size = first.size
-    past_w = np.take(w, first)
-    for idx in rest[1:]:
-        past_w *= w[idx]
-    head_w = np.take(w, first)
-    head_w *= past_w
-    # at j = i: n, or 1 if the rest repeats one index; past row i: n!, or n
-    for weights, mult, mult_rep in ((head_w, n, 1.0), (past_w, math.factorial(n), n)):
+    top = rest[0]
+    size = top.size
+
+    def rest_weights(head):
+        """Per rest, the product of w over its nodes times the multiplicity
+        of its tuples (i, rest): with i = k and one more factor w_k if
+        ``head``, else with i > k (w_i then enters as a row weight)."""
+        weights = np.take(w, top)
+        for idx in rest[1:]:
+            weights *= w[idx]
+        if head:
+            weights *= w[top]
+        # at k = i: n, or 1 if the rest repeats one index; before row i: n!, or n
+        mult, mult_rep = (n, 1.0) if head else (math.factorial(n), n)
         rep = weights[repeats] * mult_rep
         weights *= mult
         weights[repeats] = rep
-    buffers = np.empty((4, min(_BLOCK, size)))
-    pair_i = np.empty(m)
+        return weights
 
-    def blocks(lo, weights, a_i=None):
-        """Sum over the rests from lo on of the tuples (i, rest), with M_ii =
-        a_i and M_ij = pair_i[j], or of the tuples (j, rest) if a_i is None."""
-        acc = 0.0
-        for pos in range(lo, size, _BLOCK):
-            blk = slice(pos, min(pos + _BLOCK, size))
-            det, qsum, col0, col1 = buffers[:, : blk.stop - pos]
-            # indices are in range; "clip" lets take write into out directly
-            if a_i is None:
-                # i = j: a = M_jj, b = Sigma_jj/h and, at n = 3, c = e
-                np.take(one, first[blk], out=col0, mode="clip")
-                np.take(sigma, first[blk], out=col1, mode="clip")
-                row = (col0, col1, *(col[blk] for col in rest_cols[: n - 2]))
+    buffers = np.empty((4, min(_BLOCK, m * size)))
+    # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
+    with_qsum = off2 != 0.0
+
+    def contract(row, blk, out, weights, row_w, cut=None):
+        """sum_r row_w[r] sum_c weights[blk][c] f(M_rc) over one block:
+        ``row`` holds M's entries a, b and, at n = 3, c, broadcast to the
+        block's shape (rows, cols) or (cols,), and ``out`` two buffers of
+        that shape; columns c >= cut[r] of row r are left out."""
+        det, qsum = out
+        det_qsum(*row, *(col[blk] for col in rest_cols), out=(det, qsum if with_qsum else None))
+        vals, expo = closed_form_factors(det, qsum, h, d, off2, weights[blk])
+        if expo is not None:
+            vals *= expo
+        if cut is not None:
+            tail = vals[:, cut[0] :]
+            tail[np.arange(cut[0], blk.stop) >= cut[:, None]] = 0.0
+        return float(np.dot(row_w, vals.sum(axis=-1)))
+
+    total = 0.0
+    past_w = rest_weights(head=False)
+    i1 = m
+    while i1 > 1:
+        # rows [i0, i1) against the rests before row i1 - 1's, which hold only
+        # nodes j < i1 - 1; pair[r, j] = Sigma_ij/h with i = i0 + r
+        hi = np.searchsorted(top, i1 - 1)
+        i0 = max(1, i1 - max(1, _BLOCK // hi))
+        if i1 - i0 == 1:
+            # a lone row stays one-dimensional, which numpy runs faster
+            rows, a_i, cut = i0, one[i0], None
+        else:
+            # several rows fit one block; row i's own rests end where
+            # those with k >= i begin
+            rows, cut = slice(i0, i1), np.searchsorted(top, np.arange(i0, i1))
+            a_i = one[rows, None]
+        pair = np.minimum.outer(a[rows], a[: i1 - 1])
+        pair += np.minimum.outer(b[rows], b[: i1 - 1])
+        for pos in range(0, hi, _BLOCK):
+            blk = slice(pos, min(pos + _BLOCK, hi))
+            shape = (*pair.shape[:-1], blk.stop - pos)
+            det, qsum, col0, col1 = buffers[:, : math.prod(shape)].reshape(4, *shape)
+            if n == 2:
+                # the rests are the nodes j, so b is pair itself
+                cols = [pair[..., blk]]
             else:
-                for col, idx in zip((col0, col1), rest):
-                    np.take(pair_i, idx[blk], out=col, mode="clip")
-                row = (a_i, col0, col1)[:n]  # a, b and, at n = 3, c
-            # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
-            out = (det, qsum if off2 != 0.0 else None)
-            det_qsum(*row, *(col[blk] for col in rest_cols), out=out)
-            vals, expo = closed_form_factors(det, qsum, h, d, off2, weights[blk])
-            acc += float(vals.sum() if expo is None else np.dot(vals, expo))
-        return acc
-
-    total = blocks(0, head_w)
-    for i in range(m - 1):
-        # rests past row i hold only nodes j > i
-        seg = np.minimum(a[i], a[i + 1 :], out=pair_i[i + 1 :])
-        seg += np.minimum(b[i], b[i + 1 :])
-        seg /= h
-        total += w[i] * blocks(np.searchsorted(first, i + 1), past_w, one[i])
+                cols = [
+                    pair.take(idx[blk], axis=-1, out=out, mode="clip")
+                    for idx, out in zip(rest, (col0, col1))
+                ]
+            total += contract((a_i, *cols), blk, (det, qsum), past_w, w[rows], cut)
+        i1 = i0
+    # one array of rest weights at a time: the head's replace the panels'
+    del past_w
+    head_w = rest_weights(head=True)
+    for pos in range(0, size, _BLOCK):
+        # tuples (k, rest): a = M_kk, b = Sigma_kk/h and, at n = 3, c = e
+        blk = slice(pos, min(pos + _BLOCK, size))
+        det, qsum, col0, col1 = buffers[:, : blk.stop - pos]
+        # indices are in range; "clip" lets take write into out directly
+        row = (
+            one.take(top[blk], out=col0, mode="clip"),
+            sigma.take(top[blk], out=col1, mode="clip"),
+            *(col[blk] for col in rest_cols[: n - 2]),
+        )
+        total += contract(row, blk, (det, qsum), head_w, 1.0)
     return float((2.0 * math.pi * h) ** (-0.5 * n * d) * total)
 
 

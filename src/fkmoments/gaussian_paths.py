@@ -56,10 +56,17 @@ def det_qsum_2(a, b, c, out=None):
     """det and ones' M^{-1} ones for symmetric M = [[a, b], [b, c]]; ``out``
     as in :func:`det_qsum_3`."""
     det, qsum = (None, None) if out is None else out
-    det = np.subtract(a * c, b * b, out=det)
+    tmp = b * b
+    det = np.multiply(a, c, out=det)
+    det -= tmp
     if out is not None and qsum is None:
         return det, None
-    return det, np.divide(a + c - 2.0 * b, det, out=qsum)
+    # numerator: a + c - 2 b
+    np.add(b, b, out=tmp)
+    qsum = np.add(a, c, out=qsum)
+    qsum -= tmp
+    qsum /= det
+    return det, qsum
 
 
 def block_det(e, p, q):

@@ -107,7 +107,7 @@ class TestInnerProductClosedForm:
     def test_rejects_unsupported_kernel(self):
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         with pytest.raises(CapabilityError):
-            inner_product_closed_form([0.2], [0.3], q, RieszKernel(dim=2, order=1.0), CONST1)
+            inner_product_closed_form([0.2], [0.3], q, RieszKernel(dim=1, order=0.5), CONST1)
 
     def test_rejects_unsupported_initial_condition(self):
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
@@ -389,6 +389,13 @@ class TestKernelDimension:
     def test_rejects_kernel_of_another_dimension(self, route):
         with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
             ORACLE_ROUTES[route](HeatKernel(dim=2))
+
+    # a kernel without a closed form fails the dimension check first, so
+    # every route raises the same error for it
+    @pytest.mark.parametrize("route", sorted(ORACLE_ROUTES))
+    def test_checked_before_the_closed_form_capability(self, route):
+        with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
+            ORACLE_ROUTES[route](RieszKernel(dim=2))
 
     # the zero kernel is not a closed form, but the routes that accept it
     # must check its dimension before they return 0

@@ -47,21 +47,21 @@ def test_cold_import_loads_no_scipy():
     assert all(0.0 <= stat <= 1.0 for _, stat in out["checks"])
 
 
-def _load_spans(monkeypatch):
-    """perfbench/spans.py, loaded read-only by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py, loaded read-only by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
-    return spans
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_are_module_attributes(monkeypatch):
     # the benchmark's span recorder replaces these attributes in place;
     # each must stay a name its module looks up at call time
-    spans = _load_spans(monkeypatch)
+    spans = _load_perfbench(monkeypatch, "spans")
     assert spans._FUNCTIONS
     for module_name, attr, *_ in spans._FUNCTIONS:
         assert attr in importlib.import_module(module_name).__dict__, (module_name, attr)
@@ -72,7 +72,7 @@ def test_contraction_calls_the_traced_det_qsum(monkeypatch, n):
     # the per-layer det_qsum metrics count the calls that go through the
     # chaos_oracle attributes; a contraction that bound the functions
     # elsewhere would read 0 there
-    spans = _load_spans(monkeypatch)
+    spans = _load_perfbench(monkeypatch, "spans")
     traced = {attr for module, attr, *_ in spans._FUNCTIONS if module == chaos_oracle.__name__}
     calls = dict.fromkeys(("det_qsum_2", "det_qsum_3"), 0)
     assert set(calls) <= traced
@@ -89,3 +89,16 @@ def test_contraction_calls_the_traced_det_qsum(monkeypatch, n):
     # tol = 1 accepts the second rung
     fkmoments.alpha_n_quadrature(n, q, k, f, u0, tol=1.0)
     assert calls[f"det_qsum_{n}"] > 0
+
+
+def test_series2_benchmark_calls_pass_their_gate(monkeypatch):
+    # the oracle-series workload checks every call against its frozen total
+    # in perfbench/reference.json; a contraction change that would fail
+    # those checks fails here first (the three series3 calls would add
+    # seconds, so only the series2 calls run)
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    specs = [spec for spec in workloads.build("oracle-series", 0).plan if spec.cls == "series2"]
+    assert len(specs) == 5
+    for spec in specs:
+        result = spec.invoke(0)
+        assert spec.passes(result), (spec.label, result.total - spec.reference)

@@ -191,14 +191,44 @@ class TestSymmetricContraction:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("d, off2", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)])
     def test_block_size_leaves_the_sum_unchanged(self, monkeypatch, n, d, off2):
-        # m = 64: with blocks of 7, the j = i head of most rows spans
-        # several blocks, and the j > i rest of every early row many more
+        # m = 64.  Blocks of 7: the k = i head spans several blocks, and the
+        # rests of every late row many more.  Blocks of 100: panels group
+        # rows wherever their rests are short, and mask the tuples past a
+        # row's own rests.  Blocks of m^3: one panel holds every row.
         u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 0, 0)
         u, v, w = u[::8], v[::8], w[::8]
         default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
-        monkeypatch.setattr(chaos_oracle, "_BLOCK", 7)
-        blocked = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
-        assert blocked == pytest.approx(default, rel=1e-13)
+        for block in (7, 100, w.size**3):
+            monkeypatch.setattr(chaos_oracle, "_BLOCK", block)
+            blocked = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
+            assert blocked == pytest.approx(default, rel=1e-13), block
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("off2", [0.0, 0.3])
+    def test_node_order_leaves_the_sum_unchanged(self, n, off2):
+        # the rule's nodes come in no particular order; shuffled, they give
+        # other panels and other masked tuples, and the same sum
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 0, 0)
+        u, v, w = u[::8], v[::8], w[::8]
+        perm = np.random.default_rng(5).permutation(w.size)
+        default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, 1, off2)
+        shuffled = _contract_gaussian(0.5 - u[perm], 0.5 - v[perm], w[perm], n, 1.0, 1, off2)
+        assert shuffled == pytest.approx(default, rel=1e-13)
+
+    def test_order2_contracts_panels_not_single_rows(self, monkeypatch):
+        # a per-row loop would make about m + 1 det_qsum_2 calls here
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 2, 2)
+        assert w.size == 3984
+        calls = []
+        original = chaos_oracle.det_qsum_2
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_oracle, "det_qsum_2", counted)
+        _contract_gaussian(1.0 - u, 0.6 - v, w, 2, 1.0, 1, 0.09)
+        assert 0 < len(calls) < w.size / 4
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
