@@ -62,7 +62,6 @@ __all__ = [
     "white_noise_order_term",
     "white_noise_series",
     "series_settings",
-    "white_points",
     "truncation_tail",
 ]
 
@@ -104,7 +103,9 @@ class QueryPoint:
             if not all(map(math.isfinite, point)):
                 raise DomainError(f"query point {name} must be finite, got {point}")
         if not (0.0 <= self.t <= 1.0 and 0.0 <= self.s <= 1.0):
-            raise DomainError(f"times must lie in [0, 1], got t={self.t} s={self.s}")
+            raise DomainError(
+                f"times must be nonnegative and at most 1, got t={self.t} s={self.s}"
+            )
 
     @property
     def dim(self) -> int:
@@ -125,6 +126,21 @@ class QueryPoint:
 
     def swapped(self) -> "QueryPoint":
         return QueryPoint(t=self.s, s=self.t, x=self.y, y=self.x)
+
+    def elapsed_times(self, t_times, s_times) -> tuple[np.ndarray, np.ndarray]:
+        """The elapsed-time lists of an inner product at this query, as
+        arrays: one-dimensional, of equal length, with every t_j in
+        [0, t] and every s_j in [0, s] (so none is nan)."""
+        t_times = np.asarray(t_times, dtype=float)
+        s_times = np.asarray(s_times, dtype=float)
+        if t_times.ndim != 1 or t_times.shape != s_times.shape:
+            raise DomainError("time lists must be one-dimensional and of equal length")
+        for name, times, end in (("t", t_times, self.t), ("s", s_times, self.s)):
+            if not np.all((times >= 0.0) & (times <= end)):
+                raise DomainError(
+                    f"elapsed times must lie in [0, {name}] = [0, {end}], got {times.tolist()}"
+                )
+        return t_times, s_times
 
 
 def _as_point(p) -> tuple:
@@ -171,10 +187,7 @@ def inner_product_closed_form(t_times, s_times, q: QueryPoint, f, u0) -> float:
     """
     require_kernel_dim(f, q.dim)
     _require_closed_form(f, u0)
-    t_times = np.asarray(t_times, dtype=float)
-    s_times = np.asarray(s_times, dtype=float)
-    if t_times.ndim != 1 or t_times.shape != s_times.shape:
-        raise DomainError("time lists must be one-dimensional and of equal length")
+    t_times, s_times = q.elapsed_times(t_times, s_times)
     c2 = u0.value * u0.value
     if t_times.size == 0:
         return c2
@@ -443,19 +456,6 @@ def second_moment_series(
     return _series(n_max, tol, zeroth, q.t * q.s, f, order_term)
 
 
-def white_points(t: float, x, y, f):
-    """x and y as arrays of the kernel's dimension, for a time t >= 0: the
-    domain check of both white-in-time routes."""
-    if not t >= 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise DomainError("query points x and y must share a dimension")
-    require_kernel_dim(f, x.shape[0])
-    return x, y
-
-
 def white_noise_order_term(
     n: int, t: float, x, y, f, u0, tol: float, trace: list | None = None
 ) -> float:
@@ -470,15 +470,16 @@ def white_noise_order_term(
     """
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
-    x, y = white_points(t, x, y, f)
+    q = QueryPoint(t=t, s=t, x=x, y=y)
+    require_kernel_dim(f, q.dim)
     if isinstance(f, ZeroKernel):
         return 0.0
     _require_closed_form(f, u0)
     if t == 0.0:
         return 0.0
-    off2 = float(np.sum((x - y) ** 2))
+    off2 = q.offset_sq
     c2 = u0.value * u0.value
-    d = x.shape[0]
+    d = q.dim
 
     def rung(points):
         times, weights = simplex_rule(n, t, points)
@@ -492,11 +493,12 @@ def white_noise_order_term(
 def white_noise_series(t: float, x, y, f, u0, n_max: int, tol: float) -> SeriesResult:
     """Zeroth term plus orders 1..n_max of the white-in-time series at
     equal times t; unlike :func:`second_moment_series`, no scale floor."""
-    x, y = white_points(t, x, y, f)
-    zeroth = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
+    q = QueryPoint(t=t, s=t, x=x, y=y)
+    require_kernel_dim(f, q.dim)
+    zeroth = float(initial_field(u0, t, q.x_arr)) * float(initial_field(u0, t, q.y_arr))
 
     def order_term(n, scale, trace):
-        return white_noise_order_term(n, t, x, y, f, u0, tol, trace=trace)
+        return white_noise_order_term(n, t, q.x, q.y, f, u0, tol, trace=trace)
 
     return _series(n_max, tol, zeroth, t, f, order_term)
 

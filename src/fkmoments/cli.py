@@ -31,6 +31,7 @@ from .chaos_oracle import second_moment_series, white_noise_series
 from .errors import CapabilityError, ConfigError, DomainError, NumericError
 from .kernels import existence_regime_warning
 from .mc_engine import (
+    BATCHES,
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
@@ -143,14 +144,13 @@ def _estimate_record(rc: RunConfig, est, command: str) -> dict:
         "replicates": est.replicates_used,
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "batches": cfg.batch_count,
+        "batches": BATCHES,
     }
     for n in sorted(est.per_order):
         mean, stderr, count = est.per_order[n]
         rec[f"order_{n}_value"] = mean
         rec[f"order_{n}_stderr"] = stderr
         rec[f"order_{n}_count"] = count
-    rec["residual"] = est.residual
     diag = est.diagnostics
     rec["stderr_naive"] = diag["naive_stderr"]
     rec["max_abs_replicate"] = diag["max_abs_replicate"]

@@ -22,17 +22,20 @@ with both paths evaluated at the same times, and reports e^{t} mean(V).
 One streaming engine, given a count law for K and a point law, runs all
 estimators.  Replicates are processed in fixed-size chunks whose
 generators are keyed by (seed, stream tag, chunk index).  Each chunk, in
-its worker thread, reduces its values to a fixed-size summary, which
-keeps its N - floor(0.999 (N - 1)) largest |v| so that the 0.999 quantile
-and the maximum of |v| stay exact.  Summaries are merged in chunk order,
-so output is bit-identical for a given config whatever the number of
-workers, and memory is O(chunk + replicates/1000).  When the initial
-condition is constant its w-product is factored out of the replicate
-average, which keeps the bilinear scaling u0 -> c u0 exact at fixed seed.
-Standard errors come from contiguous np.array_split batch means (robust
-under the heavy-tailed replicate values that uniform mode and the Riesz
-kernel produce); the naive per-replicate standard error is also reported
-in diagnostics.
+its worker thread, reduces its values to a small summary (sums per batch
+and per order drawn), which keeps its N - floor(0.999 (N - 1)) largest
+|v| so that the 0.999 quantile and the maximum of |v| stay exact.
+Summaries are merged in chunk order, so output is bit-identical for a
+given config whatever the number of workers, and memory is O(chunk +
+replicates/1000).  When the initial condition is constant its w-product
+is factored out of the replicate average, which keeps the bilinear
+scaling u0 -> c u0 exact at fixed seed.
+Standard errors come from ``BATCHES`` contiguous np.array_split batch
+means (robust under the heavy-tailed replicate values that uniform mode
+and the Riesz kernel produce); the naive per-replicate standard error is
+also reported in diagnostics.  The estimate restricted to {K = n} is the
+order-n chaos term, so every order the run draws gets its own mean,
+stderr and count, and these orders sum to the estimate.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos_oracle import white_points
+from .chaos_oracle import QueryPoint
 from .errors import DomainError, NumericError
 from .gaussian_paths import brownian_batch_nd
 from .kernels import (
@@ -69,6 +72,9 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 16
 
+# batch means behind every reported stderr
+BATCHES = 32
+
 _STREAM_FRACTIONAL = 1
 _STREAM_WHITE = 2
 _STREAM_ORDER = 3
@@ -80,10 +86,6 @@ _REDRAW_CAP = 64
 
 # level of the abs_replicate_q999 diagnostic
 _Q999 = 0.999
-
-# Each tracked order costs a column per batch.  P(K > 20) < 1e-19 when
-# t s <= 1, so higher orders would only ever report empty columns.
-MAX_ORDER_TRACKED = 20
 
 
 @dataclass(frozen=True)
@@ -97,23 +99,15 @@ class EstimatorConfig:
     replicates: int
     seed: int
     mode: str = UNIFORM
-    batch_count: int = 32
-    max_order_tracked: int = 5
     workers: int = 1
 
     def __post_init__(self):
-        if self.batch_count < 2:
-            raise DomainError(f"batch_count must be >= 2, got {self.batch_count}")
-        if self.replicates < self.batch_count:
+        if self.replicates < BATCHES:
             raise DomainError(
-                f"replicates ({self.replicates}) must be >= batch_count ({self.batch_count})"
+                f"replicates ({self.replicates}) must be >= the stderr batch_count ({BATCHES})"
             )
         if self.mode not in (UNIFORM, TEMPORAL_IMPORTANCE):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.max_order_tracked <= MAX_ORDER_TRACKED:
-            raise DomainError(
-                f"max_order_tracked must lie in 0..{MAX_ORDER_TRACKED}, got {self.max_order_tracked}"
-            )
         if self.workers < 0:
             raise DomainError(f"workers must be nonnegative, got {self.workers}")
         if not 0 <= self.seed < 2**64:
@@ -129,15 +123,14 @@ class MomentEstimate:
     """Point estimate with uncertainty and per-chaos-order breakdown.
 
     ``per_order`` maps n to (mean contribution, stderr, replicate count
-    with K = n) for n up to the tracked maximum; ``residual`` is the value
-    minus the tracked contributions, so the decomposition is exact.
+    with K = n) for every n from 0 to the largest K the run drew; the
+    contributions sum to ``value`` and the counts to ``replicates_used``.
     """
 
     value: float
     stderr: float
     replicates_used: int
     per_order: dict
-    residual: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -169,16 +162,18 @@ def _largest(a: np.ndarray, keep: int) -> np.ndarray:
 
 @dataclass
 class _Summary:
-    """Fixed-size reduction of n consecutive replicate values.
+    """Reduction of n consecutive replicate values.
 
-    Row i of ``batch_sums`` is batch ``first_batch + i`` of the run's
-    np.array_split layout: column o <= M sums its values with K = o, the
-    last column all its values.  ``m2`` sums squared deviations from the
-    values' own mean; ``top`` holds as many of the largest |v| as the
-    run's 0.999 quantile needs.
+    Row i of ``batch_sums`` and ``order_sums`` is batch ``first_batch + i``
+    of the run's np.array_split layout: ``batch_sums`` sums all its values,
+    column K of ``order_sums`` those with K points, for every K up to the
+    largest drawn so far.  ``m2`` sums squared deviations from the values'
+    own mean; ``top`` holds as many of the largest |v| as the run's 0.999
+    quantile needs.
     """
 
     batch_sums: np.ndarray
+    order_sums: np.ndarray
     order_counts: np.ndarray
     top: np.ndarray = field(default_factory=lambda: np.empty(0))
     first_batch: int = 0
@@ -196,18 +191,28 @@ class _Summary:
         self.n = n
         self.sum_abs += part.sum_abs
         row = part.first_batch - self.first_batch
-        self.batch_sums[row : row + part.batch_sums.shape[0]] += part.batch_sums
-        self.order_counts += part.order_counts
+        rows = slice(row, row + part.batch_sums.size)
+        self.batch_sums[rows] += part.batch_sums
+        orders = part.order_counts.size
+        if orders > self.order_counts.size:
+            wider = orders - self.order_counts.size
+            self.order_sums = np.pad(self.order_sums, ((0, 0), (0, wider)))
+            self.order_counts = np.pad(self.order_counts, (0, wider))
+        self.order_sums[rows, :orders] += part.order_sums
+        self.order_counts[:orders] += part.order_counts
         self.top = _largest(np.concatenate((self.top, part.top)), keep)
         self.hits += part.hits
 
-    def mean(self, order=-1) -> float:
-        """Mean of v times [K = order], or of v for the default."""
-        return float(self.batch_sums[:, order].sum()) / self.n
+    def _sums(self, order) -> np.ndarray:
+        return self.batch_sums if order is None else self.order_sums[:, order]
 
-    def batch_stderr(self, order=-1) -> float:
+    def mean(self, order=None) -> float:
+        """Mean of v times [K = order], or of v for the default."""
+        return float(self._sums(order).sum()) / self.n
+
+    def batch_stderr(self, order=None) -> float:
         """Batch-means standard error of ``mean(order)``."""
-        means = self.batch_sums[:, order] / np.diff(_batch_bounds(self.n, len(self.batch_sums)))
+        means = self._sums(order) / np.diff(_batch_bounds(self.n, self.batch_sums.size))
         return float(np.std(means, ddof=1) / math.sqrt(means.size))
 
 
@@ -221,34 +226,34 @@ def _stream(cfg: EstimatorConfig, stream: int, draw_counts, evaluate, v0=0.0) ->
     most two chunks per worker in flight.
     """
     total = cfg.replicates
-    bounds = _batch_bounds(total, cfg.batch_count)
-    tracked = cfg.max_order_tracked + 1
+    bounds = _batch_bounds(total, BATCHES)
     keep = total - _q999_position(total)[0]
 
     def summarise(idx: int, start: int) -> _Summary:
         size = min(CHUNK_SIZE, total - start)
         rng = _chunk_rng(cfg.seed, stream, idx)
         counts = draw_counts(rng, size)
-        v = np.empty(size)
-        v[counts == 0] = v0
-        hits = 0
-        for kk in np.unique(counts[counts > 0]):
-            rows = np.nonzero(counts == kk)[0]
-            rest, h = _with_redraw(evaluate, int(kk), rows.size, rng)
-            v[rows] = rest
-            hits += h
+        order_counts = np.bincount(counts)
         first, last = np.searchsorted(bounds, [start, start + size - 1], side="right") - 1
         cuts = np.concatenate(([0], bounds[first + 1 : last + 1] - start))
-        order_counts = np.bincount(counts, minlength=tracked)[:tracked]
         # pairwise sums, as np.sum gives: a sequential sum (np.bincount
         # with weights) drifts enough to move the batch-means stderr
-        batch_sums = np.zeros((cuts.size, tracked + 1))
-        batch_sums[:, -1] = np.add.reduceat(v, cuts)
-        for order in np.flatnonzero(order_counts):
-            batch_sums[:, order] = np.add.reduceat(np.where(counts == order, v, 0.0), cuts)
+        order_sums = np.zeros((cuts.size, order_counts.size))
+        v = np.empty(size)
+        hits = 0
+        for kk in np.flatnonzero(order_counts):
+            drew = counts == kk
+            if kk == 0:
+                v[drew] = v0
+            else:
+                rest, h = _with_redraw(evaluate, int(kk), int(order_counts[kk]), rng)
+                v[drew] = rest
+                hits += h
+            order_sums[:, kk] = np.add.reduceat(np.where(drew, v, 0.0), cuts)
         abs_v = np.abs(v)
         return _Summary(
-            batch_sums=batch_sums,
+            batch_sums=np.add.reduceat(v, cuts),
+            order_sums=order_sums,
             order_counts=order_counts,
             top=_largest(abs_v, keep),
             first_batch=int(first),
@@ -258,7 +263,7 @@ def _stream(cfg: EstimatorConfig, stream: int, draw_counts, evaluate, v0=0.0) ->
             hits=hits,
         )
 
-    acc = _Summary(np.zeros((cfg.batch_count, tracked + 1)), np.zeros(tracked, dtype=np.intp))
+    acc = _Summary(np.zeros(BATCHES), np.zeros((BATCHES, 0)), np.zeros(0, dtype=np.intp))
     workers = cfg.effective_workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
@@ -285,7 +290,7 @@ def _with_redraw(evaluate, kk: int, g: int, rng: np.random.Generator):
     raise NumericError("persistent singular kernel evaluations; check inputs")
 
 
-def _estimate(summary: _Summary, scale, wfac, cfg, variance_warning=None) -> MomentEstimate:
+def _estimate(summary: _Summary, scale, wfac, variance_warning=None) -> MomentEstimate:
     """Statistics for estimates of the form wfac * scale * mean(v).
 
     ``wfac`` is the factored-out constant w-product (None when the w
@@ -301,7 +306,7 @@ def _estimate(summary: _Summary, scale, wfac, cfg, variance_warning=None) -> Mom
             abs(amp) * (scale * summary.batch_stderr(order)),
             int(summary.order_counts[order]),
         )
-        for order in range(cfg.max_order_tracked + 1)
+        for order in range(summary.order_counts.size)
     }
     # np.quantile over the scaled |v|: scaling is monotone, so its order
     # statistics are the scaled ones; then numpy's linear interpolation
@@ -315,7 +320,6 @@ def _estimate(summary: _Summary, scale, wfac, cfg, variance_warning=None) -> Mom
         stderr=abs(amp) * (scale * summary.batch_stderr()),
         replicates_used=n,
         per_order=per_order,
-        residual=value - math.fsum(c[0] for c in per_order.values()),
         diagnostics={
             "max_abs_replicate": float(summary.top.max() * (abs(amp) * scale)),
             "abs_replicate_q999": q999,
@@ -330,16 +334,11 @@ def _estimate(summary: _Summary, scale, wfac, cfg, variance_warning=None) -> Mom
 
 
 def _degenerate_estimate(value: float, cfg: EstimatorConfig) -> MomentEstimate:
-    per_order = {
-        n: (value if n == 0 else 0.0, 0.0, cfg.replicates if n == 0 else 0)
-        for n in range(cfg.max_order_tracked + 1)
-    }
     return MomentEstimate(
         value=value,
         stderr=0.0,
         replicates_used=cfg.replicates,
-        per_order=per_order,
-        residual=0.0,
+        per_order={0: (value, 0.0, cfg.replicates)},
         diagnostics={
             "max_abs_replicate": abs(value),
             "abs_replicate_q999": abs(value),
@@ -433,14 +432,16 @@ def estimate_second_moment_fractional(
     summary = _stream(
         cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate, v0
     )
-    return _estimate(summary, math.exp(t * s), wfac, cfg, _variance_warning(k, f, cfg.mode))
+    return _estimate(summary, math.exp(t * s), wfac, _variance_warning(k, f, cfg.mode))
 
 
 def estimate_second_moment_white(
     t: float, x, y, f: SpatialKernel, u0, cfg: EstimatorConfig
 ) -> MomentEstimate:
     """Second moment at equal times via the linear-Poisson representation."""
-    x, y = white_points(t, x, y, f)
+    q = QueryPoint(t=t, s=t, x=x, y=y)
+    require_kernel_dim(f, q.dim)
+    x, y = q.x_arr, q.y_arr
     w_pair = float(initial_field(u0, t, x)) * float(initial_field(u0, t, y))
     if t == 0.0:
         return _degenerate_estimate(w_pair, cfg)
@@ -454,7 +455,7 @@ def estimate_second_moment_white(
     summary = _stream(
         cfg, _STREAM_WHITE, lambda rng, size: rng.poisson(t, size=size), evaluate, v0
     )
-    return _estimate(summary, math.exp(t), wfac, cfg)
+    return _estimate(summary, math.exp(t), wfac)
 
 
 def estimate_order_contribution(
@@ -479,7 +480,7 @@ def estimate_order_contribution(
     points = _fractional_points(t, s, k, cfg.mode)
     evaluate, wfac = _evaluator(t, s, q.x_arr, q.y_arr, f, u0, points)
     summary = _stream(cfg, _STREAM_ORDER, lambda rng, size: np.full(size, n), evaluate)
-    est = _estimate(summary, (t * s) ** n / math.factorial(n), wfac, cfg)
+    est = _estimate(summary, (t * s) ** n / math.factorial(n), wfac)
     return est.value, est.stderr
 
 
@@ -492,10 +493,7 @@ def estimate_inner_product_mc(
     B2_{s_j}) over path draws; the closed-form route is its oracle for the
     heat kernel with constant data.  Returns (mean, stderr).
     """
-    t_times = np.asarray(t_times, dtype=float)
-    s_times = np.asarray(s_times, dtype=float)
-    if t_times.shape != s_times.shape or t_times.ndim != 1:
-        raise DomainError("time lists must be one-dimensional and equal length")
+    t_times, s_times = q.elapsed_times(t_times, s_times)
     require_kernel_dim(f, q.dim)
     w_pair = float(initial_field(u0, q.t, q.x_arr)) * float(initial_field(u0, q.s, q.y_arr))
     if t_times.size == 0:
@@ -507,5 +505,5 @@ def estimate_inner_product_mc(
 
     evaluate, wfac = _evaluator(q.t, q.s, q.x_arr, q.y_arr, f, u0, fixed_times)
     summary = _stream(cfg, _STREAM_INNER, lambda rng, size: np.full(size, n), evaluate)
-    est = _estimate(summary, 1.0, wfac, cfg)
+    est = _estimate(summary, 1.0, wfac)
     return est.value, est.stderr

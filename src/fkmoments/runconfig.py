@@ -56,8 +56,6 @@ DEFAULTS = {
     "estimator.replicates": "100000",
     "estimator.seed": "42",
     "estimator.mode": "uniform",
-    "estimator.batches": "32",
-    "estimator.max_order": "5",
     "oracle.n_max": "3",
     "oracle.tol": "1e-5",
     "output.format": "json",
@@ -69,8 +67,6 @@ _INT_KEYS = (
     "query.dim",
     "estimator.replicates",
     "estimator.seed",
-    "estimator.batches",
-    "estimator.max_order",
     "oracle.n_max",
     "workers",
 )
@@ -237,8 +233,6 @@ class RunConfig:
             replicates="estimator.replicates",
             seed="estimator.seed",
             mode="estimator.mode",
-            batch_count="estimator.batches",
-            max_order_tracked="estimator.max_order",
             workers="workers",
         )
 

@@ -121,7 +121,7 @@ def hypercube_integrals(F, t: float, s: float, replicates: int, seed: int) -> di
     summary = _stream(
         cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate
     )
-    per_order = _estimate(summary, math.exp(t * s), None, cfg).per_order
+    per_order = _estimate(summary, math.exp(t * s), None).per_order
     return {
         n: (math.factorial(n) * value, math.factorial(n) * stderr)
         for n, (value, stderr, _) in per_order.items()

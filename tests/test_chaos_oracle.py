@@ -8,6 +8,7 @@ from fkmoments import (
     CapabilityError,
     Constant,
     DomainError,
+    EstimatorConfig,
     GaussianBump,
     HeatKernel,
     NumericError,
@@ -16,6 +17,8 @@ from fkmoments import (
     TemporalKernel,
     ZeroKernel,
     alpha_n_quadrature,
+    estimate_inner_product_mc,
+    estimate_second_moment_white,
     heat_density,
     inner_product_closed_form,
     second_moment_series,
@@ -403,6 +406,64 @@ class TestKernelDimension:
     def test_checked_before_the_zero_kernel_shortcut(self, route):
         with pytest.raises(DomainError, match="kernel dimension 2 != query dimension 1"):
             ORACLE_ROUTES[route](ZeroKernel(dim=2))
+
+
+# the two inner-product routes, called at Q1 with the given elapsed times
+INNER_PRODUCT_ROUTES = {
+    "inner_product_closed_form": lambda ts, ss: inner_product_closed_form(
+        ts, ss, Q1, HEAT1, CONST1
+    ),
+    "estimate_inner_product_mc": lambda ts, ss: estimate_inner_product_mc(
+        ts, ss, Q1, HEAT1, CONST1, EstimatorConfig(replicates=1000, seed=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(INNER_PRODUCT_ROUTES))
+@pytest.mark.parametrize(
+    "t_times, s_times",
+    [([-0.1], [0.2]), ([math.nan], [0.2]), ([0.6], [0.2]), ([0.2], [0.6])],
+    ids=["negative", "nan", "t-above-query", "s-above-query"],
+)
+def test_inner_product_rejects_elapsed_times_outside_the_query(route, t_times, s_times):
+    with pytest.raises(DomainError, match="elapsed times"):
+        INNER_PRODUCT_ROUTES[route](t_times, s_times)
+
+
+# the three white-in-time routes, called at time t from x = 0 to y
+WHITE_ROUTES = {
+    "estimate_second_moment_white": lambda t, y: estimate_second_moment_white(
+        t, (0.0,), y, HEAT1, CONST1, EstimatorConfig(replicates=1000, seed=0)
+    ),
+    "white_noise_order_term": lambda t, y: white_noise_order_term(
+        1, t, (0.0,), y, HEAT1, CONST1, 1e-5
+    ),
+    "white_noise_series": lambda t, y: white_noise_series(t, (0.0,), y, HEAT1, CONST1, 2, 1e-5),
+}
+
+
+@pytest.mark.parametrize("route", sorted(WHITE_ROUTES))
+@pytest.mark.parametrize("t, y", [(0.5, (math.nan,)), (1.5, (0.0,))], ids=["nan-point", "t-1.5"])
+def test_white_routes_reject_nan_points_and_times_above_one(route, t, y):
+    with pytest.raises(DomainError):
+        WHITE_ROUTES[route](t, y)
+
+
+@pytest.mark.parametrize("t, h", [(1.0, 1.0), (0.5, 0.3)])
+def test_fractional_series_tends_to_white_series_as_hurst_tends_to_half(t, h):
+    # the fractional noise tends to white noise in time as H -> 1/2, and
+    # the gap closes linearly in H - 1/2 down to the quadrature tolerance
+    f = HeatKernel(dim=1, bandwidth=h)
+    white = white_noise_series(t, (0.0,), (0.0,), f, CONST1, 2, 1e-5).total
+    q = QueryPoint(t=t, s=t, x=(0.0,), y=(0.0,))
+    gap = {
+        eps: second_moment_series(q, TemporalKernel(0.5 + eps), f, CONST1, 2, 1e-5).total - white
+        for eps in (1e-2, 1e-3, 1e-4)
+    }
+    assert abs(gap[1e-3]) * 5 <= abs(gap[1e-2])
+    assert abs(gap[1e-4]) * 5 <= abs(gap[1e-3])
+    limit = (10 * gap[1e-4] - gap[1e-3]) / 9
+    assert abs(limit) <= 1e-5 * abs(white)
 
 
 class TestTruncationTail:

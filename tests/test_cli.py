@@ -59,11 +59,11 @@ class TestEstimateCommand:
         assert result.exit_code == 2
         assert "workers" in result.stderr
 
-    @pytest.mark.parametrize("value", ["21", "100000000"])
-    def test_max_order_bound_exits_2(self, value):
-        result = run_cli("estimate", *FAST, "--set", f"estimator.max_order={value}")
+    @pytest.mark.parametrize("key", ["estimator.max_order", "estimator.batches"])
+    def test_removed_estimator_keys_exit_2(self, key):
+        result = run_cli("estimate", *FAST, "--set", f"{key}=5")
         assert result.exit_code == 2
-        assert "estimator.max_order" in result.stderr
+        assert key in result.stderr
 
     def test_unwritable_output_path_exits_2(self, tmp_path):
         target = tmp_path / "missing" / "x.json"

@@ -108,7 +108,7 @@ class TestFractionalEstimator:
     def test_importance_has_zero_eta_variance(self):
         # with a constant spatial kernel the tilted per-replicate value is a
         # deterministic function of the point count
-        cfg = EstimatorConfig(replicates=20_000, seed=10, mode="importance", max_order_tracked=3)
+        cfg = EstimatorConfig(replicates=20_000, seed=10, mode="importance")
         est = estimate_second_moment_fractional(Q0, K75, _OneKernel(), CONST1, cfg)
         c_over_ts = K75.mass(0.5, 0.5) / 0.25
         for n, (mean, stderr, count) in est.per_order.items():
@@ -133,8 +133,10 @@ class TestFractionalEstimator:
     def test_per_order_decomposition_sums_to_value(self):
         cfg = EstimatorConfig(replicates=100_000, seed=12, mode="importance")
         est = estimate_second_moment_fractional(Q0, K75, HEAT1, CONST1, cfg)
-        tracked = sum(v[0] for v in est.per_order.values())
-        assert est.value == pytest.approx(tracked + est.residual, abs=1e-12)
+        assert list(est.per_order) == list(range(len(est.per_order)))
+        orders = math.fsum(v[0] for v in est.per_order.values())
+        assert orders == pytest.approx(est.value, rel=1e-12)
+        assert sum(v[2] for v in est.per_order.values()) == cfg.replicates
 
     def test_bump_initial_condition_mode_consistency(self):
         # the bump w-factors ride along the path endpoints; uniform and
@@ -177,15 +179,14 @@ class TestFractionalEstimator:
 
     def test_batch_config_validated(self):
         with pytest.raises(DomainError):
-            EstimatorConfig(replicates=10, seed=0, batch_count=32)
+            EstimatorConfig(replicates=10, seed=0)
         with pytest.raises(DomainError):
             EstimatorConfig(replicates=100, seed=0, mode="nonsense")
 
-    def test_max_order_and_seed_ranges_validated(self):
-        EstimatorConfig(replicates=100, seed=2**64 - 1, max_order_tracked=mc_engine.MAX_ORDER_TRACKED)
-        for kwargs in ({"max_order_tracked": -1}, {"max_order_tracked": 21}, {"workers": -1}):
-            with pytest.raises(DomainError):
-                EstimatorConfig(replicates=100, seed=0, **kwargs)
+    def test_seed_and_workers_ranges_validated(self):
+        EstimatorConfig(replicates=100, seed=2**64 - 1)
+        with pytest.raises(DomainError):
+            EstimatorConfig(replicates=100, seed=0, workers=-1)
         for seed in (-1, 2**64):
             with pytest.raises(DomainError, match="seed"):
                 EstimatorConfig(replicates=100, seed=seed)
@@ -361,23 +362,22 @@ def _dense_batch_stderr(values, batch_count):
     return float(np.std(means, ddof=1) / math.sqrt(batch_count))
 
 
-def _dense_reference(v, counts, scale, wfac, cfg):
+def _dense_reference(v, counts, scale, wfac, batch_count):
     """The statistics reduced from all replicate values at once."""
     amp = 1.0 if wfac is None else wfac
     value = amp * (scale * float(np.mean(v)))
     per_order = {}
-    for n in range(cfg.max_order_tracked + 1):
+    for n in range(counts.max() + 1):
         masked = np.where(counts == n, v, 0.0)
         mean_n = amp * (scale * float(np.mean(masked)))
-        stderr_n = abs(amp) * (scale * _dense_batch_stderr(masked, cfg.batch_count))
+        stderr_n = abs(amp) * (scale * _dense_batch_stderr(masked, batch_count))
         per_order[n] = (mean_n, stderr_n, int(np.count_nonzero(counts == n)))
     abs_scaled = np.abs(v) * (abs(amp) * scale)
     sum_abs = float(np.sum(np.abs(v)))
     sum_sq = float(np.sum(np.square(v)))
     return {
         "value": value,
-        "stderr": abs(amp) * (scale * _dense_batch_stderr(v, cfg.batch_count)),
-        "residual": value - math.fsum(c[0] for c in per_order.values()),
+        "stderr": abs(amp) * (scale * _dense_batch_stderr(v, batch_count)),
         "per_order": per_order,
         "naive_stderr": abs(amp) * (scale * float(np.std(v, ddof=1) / math.sqrt(v.size))),
         "effective_sample_size": sum_abs * sum_abs / sum_sq,
@@ -394,15 +394,15 @@ class TestStreamingSummary:
     def test_matches_dense_reference(self, monkeypatch, batch_count, wfac):
         chunk = 1000
         monkeypatch.setattr(mc_engine, "CHUNK_SIZE", chunk)
+        monkeypatch.setattr(mc_engine, "BATCHES", batch_count)
         n, v0 = 10_007, 0.8
         data = np.random.default_rng(batch_count)
-        # K up to about 9, above max_order_tracked; heavy-tailed signed values
+        # K up to about 9, so chunks draw different largest counts;
+        # heavy-tailed signed values
         counts = data.poisson(2.0, n)
         values = data.standard_t(2.5, n)
         values[counts == 0] = v0
-        cfg = EstimatorConfig(
-            replicates=n, seed=0, batch_count=batch_count, max_order_tracked=3, workers=2
-        )
+        cfg = EstimatorConfig(replicates=n, seed=0, workers=2)
 
         def rows(rng):
             # each chunk's generator is keyed by (stream, chunk index)
@@ -414,17 +414,18 @@ class TestStreamingSummary:
             return values[block][counts[block] == kk]
 
         summary = mc_engine._stream(cfg, 0, lambda rng, size: counts[rows(rng)], evaluate, v0)
-        est = mc_engine._estimate(summary, math.exp(0.3), wfac, cfg)
-        ref = _dense_reference(values, counts, math.exp(0.3), wfac, cfg)
+        est = mc_engine._estimate(summary, math.exp(0.3), wfac)
+        ref = _dense_reference(values, counts, math.exp(0.3), wfac, batch_count)
 
         for key in ("max_abs_replicate", "abs_replicate_q999"):
             assert est.diagnostics[key] == ref[key]
+        assert list(est.per_order) == list(ref["per_order"])
         assert [c[2] for c in est.per_order.values()] == [c[2] for c in ref["per_order"].values()]
-        assert sum(c[2] for c in est.per_order.values()) < n
+        assert sum(c[2] for c in est.per_order.values()) == n
         rel = pytest.approx
         assert est.value == rel(ref["value"], rel=1e-12)
         assert est.stderr == rel(ref["stderr"], rel=1e-12)
-        assert est.residual == rel(ref["residual"], rel=1e-12)
+        assert math.fsum(c[0] for c in est.per_order.values()) == rel(est.value, rel=1e-12)
         for key in ("naive_stderr", "effective_sample_size"):
             assert est.diagnostics[key] == rel(ref[key], rel=1e-12)
         for order, (mean, stderr, _) in est.per_order.items():

@@ -33,13 +33,14 @@ def make_rng(seed=7):
     return np.random.default_rng(seed)
 
 
-def order_counts(t, s, seed, replicates=100_000, max_order=12):
-    """Replicates with K = 0..max_order points in the fractional engine's
-    count law on [0,t] x [0,s] (a zero kernel keeps the run cheap)."""
+def order_counts(t, s, seed, replicates=100_000):
+    """Replicates with K = 0, 1, ... up to the largest drawn count in the
+    fractional engine's count law on [0,t] x [0,s] (a zero kernel keeps
+    the run cheap)."""
     q = QueryPoint(t=t, s=s, x=(0.0,), y=(0.0,))
-    cfg = EstimatorConfig(replicates=replicates, seed=seed, max_order_tracked=max_order)
+    cfg = EstimatorConfig(replicates=replicates, seed=seed)
     est = estimate_second_moment_fractional(q, K75, ZeroKernel(dim=1), Constant(1.0), cfg)
-    return np.array([est.per_order[n][2] for n in range(max_order + 1)])
+    return np.array([est.per_order[n][2] for n in range(len(est.per_order))])
 
 
 def planar_points(rng, realizations, rate):
@@ -229,11 +230,11 @@ class TestTemporalImportance:
 class TestLinearJumpTimes:
     def test_count_statistics(self):
         # the white-noise engine's jump count on [0, 1] is Poisson(1)
-        cfg = EstimatorConfig(replicates=100_000, seed=21, max_order_tracked=12)
+        cfg = EstimatorConfig(replicates=100_000, seed=21)
         est = estimate_second_moment_white(1.0, (0.0,), (0.0,), ZeroKernel(dim=1), Constant(1.0), cfg)
-        counts = np.array([est.per_order[n][2] for n in range(13)])
+        counts = np.array([est.per_order[n][2] for n in range(len(est.per_order))])
         n = counts.sum()
-        assert abs(np.dot(np.arange(13), counts) / n - 1.0) < 0.01
+        assert abs(np.dot(np.arange(counts.size), counts) / n - 1.0) < 0.01
         assert abs(counts[0] / n - math.exp(-1)) < 0.005
 
 
