@@ -49,6 +49,7 @@ from .kernels import (
     TemporalKernel,
     ZeroKernel,
     initial_field,
+    require_integer,
     require_kernel_dim,
 )
 from .quadrature import eta_pair_rule, simplex_rule
@@ -344,6 +345,7 @@ def _contract_gaussian(
 
 def series_settings(n_max: int, tol: float) -> tuple[int, float]:
     """(n_max, tol) of a truncated series, checked for both series."""
+    require_integer("n_max", n_max)
     if not 0 <= n_max <= MAX_ORDER:
         raise DomainError(f"n_max must lie in 0..{MAX_ORDER}, got {n_max}")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -413,6 +415,7 @@ def alpha_n_quadrature(
     most ``tol`` times max(|value|, ``scale_floor``) (:func:`_certify`); a
     ``trace`` entry is (depth_u, depth_r, m, value, |delta|, tol * scale).
     """
+    require_integer("order", n)
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
     require_kernel_dim(f, q.dim)
@@ -468,6 +471,7 @@ def white_noise_order_term(
     by :func:`_certify` with no scale floor; a ``trace`` entry is (points
     per axis, simplex node count m, value, |delta|, tol * |value|).
     """
+    require_integer("order", n)
     if not 1 <= n <= MAX_ORDER:
         raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
     q = QueryPoint(t=t, s=t, x=x, y=y)

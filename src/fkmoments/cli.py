@@ -2,14 +2,15 @@
 
 Subcommands: ``estimate`` (Monte Carlo), ``oracle`` (chaos-series
 quadrature), ``compare`` (both, with a z-score verdict), ``verify``
-(property suites), ``bench`` (throughput).  Configuration comes from an
-optional flat key = value file, overlaid by repeatable ``--set`` pairs and
-direct flags; every record echoes the fully resolved configuration.
+(property suites).  Configuration comes from an optional flat key = value
+file, overlaid by repeatable ``--set`` pairs and direct flags, each flag a
+shorthand for ``--set`` of one key; ``estimate``, ``oracle`` and
+``compare`` records echo the fully resolved configuration.
 
-Data records go to stdout (or ``--out``); diagnostics, warnings, and wall
-times go to stderr, so the data stream stays parseable.  Records are
-byte-identical for identical config + seed, independent of ``--workers``
-(bench is the documented exception: it reports timings).
+Data records go to stdout (or ``--out``); diagnostics, warnings, wall
+times and ``estimate``'s cost figures go to stderr, so the data stream
+stays parseable.  Records are byte-identical for identical config + seed,
+independent of ``--workers``.
 
 Exit codes: 0 ok, 2 config error, 3 numeric/capability error,
 4 comparison failed or inconclusive, or verification failure.
@@ -46,44 +47,39 @@ def main():
     """Second-moment computations for the fractional stochastic heat equation."""
 
 
+# direct flags, each a shorthand for --set KEY=VALUE
+_FLAGS = {
+    "seed": "estimator.seed",
+    "replicates": "estimator.replicates",
+    "mode": "estimator.mode",
+    "equation": "equation",
+    "out": "output.path",
+    "format": "output.format",
+    "workers": "workers",
+}
+
+
 def _config_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="Flat key = value configuration file.")(fn)
     fn = click.option("--set", "sets", multiple=True, metavar="KEY=VALUE",
                       help="Override one configuration key (repeatable).")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Estimator seed.")(fn)
-    fn = click.option("--replicates", type=int, default=None, help="Replicate count.")(fn)
-    fn = click.option("--mode", type=click.Choice(["uniform", "importance"]),
-                      default=None, help="Point-sampling mode.")(fn)
-    fn = click.option("--equation", type=click.Choice(["fractional", "white"]),
-                      default=None, help="Which representation to estimate.")(fn)
-    fn = click.option("--out", "out_path", default=None, help="Data output path ('-' = stdout).")(fn)
-    fn = click.option("--format", "out_format", type=click.Choice(["json", "csv"]),
-                      default=None, help="Record format.")(fn)
-    fn = click.option("--workers", type=int, default=None,
-                      help="Parallelism cap (0 = machine parallelism).")(fn)
+    for name, key in reversed(_FLAGS.items()):
+        fn = click.option(f"--{name}", metavar="VALUE", help=f"Same as --set {key}=VALUE.")(fn)
     return fn
 
 
-def _resolve(config_path, sets, seed, replicates, mode, equation, out_path, out_format, workers):
+def _resolve(config_path, sets, **flags):
     file_values = parse_config_file(config_path) if config_path else {}
+    # flags come last, so they override --set
+    shorthands = [f"{_FLAGS[name]}={value}" for name, value in flags.items() if value is not None]
     set_layer = {}
-    for item in sets:
+    for item in (*sets, *shorthands):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         set_layer[key.strip()] = value.strip()
-    flags = {
-        "estimator.seed": seed,
-        "estimator.replicates": replicates,
-        "estimator.mode": mode,
-        "equation": equation,
-        "output.path": out_path,
-        "output.format": out_format,
-        "workers": workers,
-    }
-    flag_layer = {key: value for key, value in flags.items() if value is not None}
-    return RunConfig.resolve(file_values, set_layer, flag_layer)
+    return RunConfig.resolve(file_values, set_layer)
 
 
 def _record_value(v):
@@ -223,15 +219,27 @@ def _guarded(body):
 @main.command()
 @_config_options
 def estimate(**kwargs):
-    """Monte Carlo estimate of the second moment."""
+    """Monte Carlo estimate of the second moment.
+
+    Prints wall_time_ms, replicates_per_second, work_norm_var and
+    peak_rss_mb on stderr.
+    """
 
     def body():
         rc = _resolve(**kwargs)
         start = time.perf_counter()
         est = _run_estimator(rc)
-        wall_ms = 1000.0 * (time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
         _emit([_estimate_record(rc, est, "estimate")], rc)
-        click.echo(f"wall_time_ms={format_real(wall_ms)}", err=True)
+        # work_norm_var (stderr^2 x seconds) does not reward cheap, noisy
+        # replicates; peak_rss_mb is the process's peak resident memory
+        costs = {
+            "wall_time_ms": 1000.0 * elapsed,
+            "replicates_per_second": est.replicates_used / elapsed,
+            "work_norm_var": est.stderr * est.stderr * elapsed,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        }
+        click.echo(" ".join(f"{k}={format_real(v)}" for k, v in costs.items()), err=True)
 
     _guarded(body)
 
@@ -321,40 +329,6 @@ def verify(suite, **kwargs):
     ok = _guarded(body)
     if not ok:
         sys.exit(4)
-
-
-@main.command()
-@_config_options
-def bench(**kwargs):
-    """Measure estimator throughput for the configured run.
-
-    The record carries wall-clock timings, so unlike the other commands it
-    is not byte-reproducible.  ``work_norm_var`` is stderr^2 x seconds
-    (lower is better: it does not reward cheap, noisy replicates), and
-    ``peak_rss_mb`` the process's peak resident set size so far.
-    """
-
-    def body():
-        rc = _resolve(**kwargs)
-        cfg = rc.estimator_config()
-        start = time.perf_counter()
-        est = _run_estimator(rc)
-        elapsed = time.perf_counter() - start
-        rec = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bench",
-            "equation": rc.equation,
-            "replicates": cfg.replicates,
-            "wall_time_ms": 1000.0 * elapsed,
-            "replicates_per_second": cfg.replicates / elapsed if elapsed > 0 else math.inf,
-            "value": est.value,
-            "stderr": est.stderr,
-            "work_norm_var": est.stderr * est.stderr * elapsed,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        }
-        _emit([_with_config_echo(rec, rc)], rc)
-
-    _guarded(body)
 
 
 if __name__ == "__main__":

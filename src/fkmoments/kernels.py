@@ -15,6 +15,7 @@ axes are broadcast batch axes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,13 @@ def require_kernel_dim(f, dim: int) -> None:
     ``dim``; every route checks this before any shortcut."""
     if f.dim != dim:
         raise DomainError(f"kernel dimension {f.dim} != query dimension {dim}")
+
+
+def require_integer(name: str, value) -> None:
+    """DomainError naming ``name`` unless ``value`` is an integer; numpy
+    integers pass, bools and integral floats such as 2.0 do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # Existence of the underlying solution is only guaranteed on part of the

@@ -57,6 +57,7 @@ from .kernels import (
     TemporalKernel,
     ZeroKernel,
     initial_field,
+    require_integer,
     require_kernel_dim,
 )
 from .point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
@@ -102,6 +103,8 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("replicates", "seed", "workers"):
+            require_integer(name, getattr(self, name))
         if self.replicates < BATCHES:
             raise DomainError(
                 f"replicates ({self.replicates}) must be >= the stderr batch_count ({BATCHES})"
@@ -468,6 +471,7 @@ def estimate_order_contribution(
     points, so no replicates are wasted on other counts.  Returns
     (mean, stderr).
     """
+    require_integer("order", n)
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
     require_kernel_dim(f, q.dim)

@@ -150,34 +150,30 @@ def _geometric_cells_from(a: float, b: float, max_cells: int = _MAX_GEOMETRIC_CE
 def _singular_segment(alpha: float, beta: float, length: float, depth: int):
     """Nodes/weights for int_0^length alpha r^beta g(r) dr on r in (0, length].
 
-    Dyadic cells graded toward r = 0 with Gauss-Legendre order 8, and the
-    innermost cell handled by Gauss-Jacobi so the power weight is
-    integrated exactly there.
+    Gauss-Jacobi on the innermost cell [0, length 2^-depth], so the power
+    weight is integrated exactly there, then the ``depth`` dyadic cells
+    out to ``length`` from :func:`_regular_segment`.
     """
     if length <= 0.0:
         return np.empty(0), np.empty(0)
-    glx, glw = gauss_legendre_01()
     gjx, gjw = gauss_jacobi_01(GL_ORDER, beta)
     tip = length * 2.0 ** (-depth)
-    nodes = [tip * gjx]
-    weights = [alpha * tip ** (beta + 1.0) * gjw]
-    lo = tip
-    for _ in range(depth):
-        hi = min(2.0 * lo, length)
-        r = lo + (hi - lo) * glx
-        nodes.append(r)
-        weights.append(alpha * (hi - lo) * glw * r**beta)
-        lo = hi
-    return np.concatenate(nodes), np.concatenate(weights)
+    r, w = _regular_segment(alpha, beta, tip, length, depth)
+    return (
+        np.concatenate([tip * gjx, r]),
+        np.concatenate([alpha * tip ** (beta + 1.0) * gjw, w]),
+    )
 
 
 def _regular_segment(
     alpha: float, beta: float, r_lo: float, r_hi: float, max_cells: int
 ):
-    """Nodes/weights for int alpha r^beta g(r) dr with 0 < r_lo < r_hi."""
+    """Nodes/weights for int alpha r^beta g(r) dr with 0 < r_lo <= r_hi,
+    Gauss-Legendre order 8 on :func:`_geometric_cells_from`'s cells
+    (none, so empty arrays, when r_lo = r_hi or ``max_cells`` is 0)."""
     glx, glw = gauss_legendre_01()
-    nodes = []
-    weights = []
+    nodes = [np.empty(0)]
+    weights = [np.empty(0)]
     for lo, hi in _geometric_cells_from(r_lo, r_hi, max_cells):
         r = lo + (hi - lo) * glx
         nodes.append(r)

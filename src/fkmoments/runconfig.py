@@ -2,14 +2,15 @@
 
 The configuration surface is a flat dotted-key namespace (for example
 ``kernel.hurst = 0.75``).  Values from a config file are overlaid by
-repeatable ``--set key=value`` pairs and then by direct CLI flags; the
-fully resolved mapping is echoed into every emitted record, so a record
-can be replayed byte-identically by feeding its echo back in.
+repeatable ``--set key=value`` pairs and then by direct CLI flags, which
+are shorthands for ``--set``; the fully resolved mapping is echoed into
+every estimate, oracle and compare record, so such a record can be
+replayed byte-identically by feeding its echo back in.
 
-Each value is parsed here (type, finiteness, choice, coordinate count)
-and range-checked once, by the domain object or check built from it
-(``oracle.n_max`` and ``oracle.tol`` by the oracle's
-``series_settings``); a ``DomainError`` is re-raised as a
+Each value is parsed here by its kind in ``_SCHEMA`` (type, finiteness,
+choice, coordinate count) and range-checked once, by the domain object
+or check built from it (``oracle.n_max`` and ``oracle.tol`` by the
+oracle's ``series_settings``); a ``DomainError`` is re-raised as a
 ``ConfigError`` that names the key.  Only the white-noise equal-time
 rule has no domain object and is checked here.  Misconfigurations thus
 fail fast with exit code 2 before any computation starts.
@@ -36,49 +37,35 @@ from .mc_engine import EstimatorConfig
 
 __all__ = ["RunConfig", "DEFAULTS", "parse_config_file", "format_real"]
 
-DEFAULTS = {
-    "equation": "fractional",
-    "query.t": "0.5",
-    "query.s": "0.5",
-    "query.dim": "1",
-    "query.x": "0",
-    "query.y": "0",
-    "kernel.hurst": "0.75",
-    "kernel.spatial": "heat",
-    "kernel.bandwidth": "1",
-    "kernel.order": "1",
-    "kernel.scale": "1",
-    "u0.kind": "constant",
-    "u0.value": "1",
-    "u0.amplitude": "1",
-    "u0.center": "0",
-    "u0.width": "1",
-    "estimator.replicates": "100000",
-    "estimator.seed": "42",
-    "estimator.mode": "uniform",
-    "oracle.n_max": "3",
-    "oracle.tol": "1e-5",
-    "output.format": "json",
-    "output.path": "-",
-    "workers": "1",
+# key: (default, kind); a kind is a tuple of choices, "int", "real",
+# "point" (query.dim comma-separated reals) or "text" (taken verbatim)
+_SCHEMA = {
+    "equation": ("fractional", ("fractional", "white")),
+    "query.t": ("0.5", "real"),
+    "query.s": ("0.5", "real"),
+    "query.dim": ("1", "int"),
+    "query.x": ("0", "point"),
+    "query.y": ("0", "point"),
+    "kernel.hurst": ("0.75", "real"),
+    "kernel.spatial": ("heat", ("heat", "riesz", "poisson", "zero")),
+    "kernel.bandwidth": ("1", "real"),
+    "kernel.order": ("1", "real"),
+    "kernel.scale": ("1", "real"),
+    "u0.kind": ("constant", ("constant", "bump")),
+    "u0.value": ("1", "real"),
+    "u0.amplitude": ("1", "real"),
+    "u0.center": ("0", "point"),
+    "u0.width": ("1", "real"),
+    "estimator.replicates": ("100000", "int"),
+    "estimator.seed": ("42", "int"),
+    "estimator.mode": ("uniform", ("uniform", "importance")),
+    "oracle.n_max": ("3", "int"),
+    "oracle.tol": ("1e-5", "real"),
+    "output.format": ("json", ("json", "csv")),
+    "output.path": ("-", "text"),
+    "workers": ("1", "int"),
 }
-
-_INT_KEYS = (
-    "query.dim",
-    "estimator.replicates",
-    "estimator.seed",
-    "oracle.n_max",
-    "workers",
-)
-_POINT_KEYS = ("query.x", "query.y", "u0.center")
-
-_CHOICES = {
-    "equation": ("fractional", "white"),
-    "kernel.spatial": ("heat", "riesz", "poisson", "zero"),
-    "u0.kind": ("constant", "bump"),
-    "estimator.mode": ("uniform", "importance"),
-    "output.format": ("json", "csv"),
-}
+DEFAULTS = {key: default for key, (default, _) in _SCHEMA.items()}
 
 
 def format_real(v: float) -> str:
@@ -139,10 +126,11 @@ class RunConfig:
             raise ConfigError(f"{key} must be an integer, got {self.raw[key]!r}") from exc
 
     def _choice(self, key: str) -> str:
+        choices = _SCHEMA[key][1]
         value = self.raw[key].strip().lower()
-        if value not in _CHOICES[key]:
+        if value not in choices:
             raise ConfigError(
-                f"{key} must be one of {', '.join(_CHOICES[key])}; got {self.raw[key]!r}"
+                f"{key} must be one of {', '.join(choices)}; got {self.raw[key]!r}"
             )
         return value
 
@@ -167,13 +155,14 @@ class RunConfig:
 
     def _value(self, key: str):
         """The typed value of one key."""
-        if key in _CHOICES:
+        kind = _SCHEMA[key][1]
+        if isinstance(kind, tuple):
             return self._choice(key)
-        if key == "output.path":
+        if kind == "text":
             return self.raw[key]
-        if key in _POINT_KEYS:
+        if kind == "point":
             return self._point(key)
-        if key in _INT_KEYS:
+        if kind == "int":
             return self._int(key)
         return self._float(key)
 
@@ -261,7 +250,7 @@ class RunConfig:
             if key == "workers":
                 continue
             value = self._value(key)
-            if key in _POINT_KEYS:
+            if _SCHEMA[key][1] == "point":
                 out[key] = ",".join(format_real(v) for v in value)
             elif isinstance(value, float):
                 out[key] = format_real(value)

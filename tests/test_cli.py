@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fkmoments.cli import main
+from test_runconfig import ADVERSARIAL
 
 
 def run_cli(*args):
@@ -335,10 +340,70 @@ class TestConfigRoundTrip:
 
 class TestBenchCommand:
     def test_reports_throughput(self):
-        result = run_cli("bench", *FAST)
+        result = run_cli("estimate", *FAST)
         assert result.exit_code == 0
-        rec = json.loads(result.stdout)
-        assert rec["replicates_per_second"] > 0
-        assert rec["wall_time_ms"] > 0
-        assert rec["peak_rss_mb"] > 0
-        assert rec["work_norm_var"] > 0
+        assert json.loads(result.stdout)["replicates"] == 20000
+        # the cost figures are the last stderr line, after any warning
+        fields = [f.split("=") for f in result.stderr.splitlines()[-1].split()]
+        assert [name for name, _ in fields] == [
+            "wall_time_ms", "replicates_per_second", "work_norm_var", "peak_rss_mb",
+        ]
+        assert all(float(value) > 0 for _, value in fields)
+
+
+FLAG_KEYS = {
+    "--seed": "estimator.seed",
+    "--replicates": "estimator.replicates",
+    "--mode": "estimator.mode",
+    "--equation": "equation",
+    "--out": "output.path",
+    "--format": "output.format",
+    "--workers": "workers",
+}
+CHOICE_VALUES = ["uniform", "importance", "fractional", "white", "json", "csv"]
+
+
+# one chunk of replicates, so a run starts at most one worker thread
+@settings(
+    derandomize=True, max_examples=120, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flag=st.sampled_from(sorted(FLAG_KEYS)),
+    value=st.one_of(
+        ADVERSARIAL,
+        st.sampled_from(CHOICE_VALUES + [v.upper() for v in CHOICE_VALUES]),
+    ),
+)
+@example(flag="--mode", value="IMPORTANCE")
+def test_flag_is_its_key(flag, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --out writes a file
+    base = ("estimate", "--set", "estimator.replicates=2000")
+    by_flag = run_cli(*base, flag, value)
+    by_key = run_cli(*base, "--set", f"{FLAG_KEYS[flag]}={value}")
+    assert by_flag.exception is None or isinstance(by_flag.exception, SystemExit)
+    assert by_flag.exit_code in (0, 2)
+    assert by_flag.exit_code == by_key.exit_code
+    if by_flag.exit_code == 2:
+        assert FLAG_KEYS[flag] in by_flag.stderr
+        assert by_flag.stderr == by_key.stderr
+    else:
+        assert by_flag.stdout == by_key.stdout
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_examples_parse(line):
+    # click parses every option before the eager --help, so a removed
+    # command or flag fails here
+    words = shlex.split(line)
+    assert words[0] == "fkmoments"
+    result = run_cli(*words[1:], "--help")
+    assert result.exit_code == 0, result.output

@@ -22,7 +22,9 @@ from fkmoments import (
     estimate_second_moment_white,
     inner_product_closed_form,
     initial_field,
+    white_noise_order_term,
 )
+from fkmoments.chaos_oracle import series_settings
 
 Q0 = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
 K75 = TemporalKernel(0.75)
@@ -190,6 +192,49 @@ class TestFractionalEstimator:
         for seed in (-1, 2**64):
             with pytest.raises(DomainError, match="seed"):
                 EstimatorConfig(replicates=100, seed=seed)
+
+
+# every library entry point that takes a count, as (argument name,
+# call with that argument, a valid value of it)
+INTEGER_ARGUMENTS = {
+    "EstimatorConfig.replicates": (
+        "replicates", lambda v: EstimatorConfig(replicates=v, seed=1), 64
+    ),
+    "EstimatorConfig.seed": ("seed", lambda v: EstimatorConfig(replicates=64, seed=v), 1),
+    "EstimatorConfig.workers": (
+        "workers", lambda v: EstimatorConfig(replicates=64, seed=1, workers=v), 2
+    ),
+    "series_settings": ("n_max", lambda v: series_settings(v, 1e-5), 2),
+    "estimate_order_contribution": (
+        "order",
+        lambda v: estimate_order_contribution(
+            v, Q0, K75, HEAT1, CONST1, EstimatorConfig(replicates=64, seed=1)
+        ),
+        2,
+    ),
+    "alpha_n_quadrature": (
+        "order", lambda v: alpha_n_quadrature(v, Q0, K75, HEAT1, CONST1, 1e-3), 1
+    ),
+    "white_noise_order_term": (
+        "order",
+        lambda v: white_noise_order_term(v, 0.5, (0.0,), (0.0,), HEAT1, CONST1, 1e-3),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+@pytest.mark.parametrize("route", sorted(INTEGER_ARGUMENTS))
+def test_non_integer_counts_raise_domain_error_naming_the_argument(route, value):
+    name, call, _ = INTEGER_ARGUMENTS[route]
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("route", sorted(INTEGER_ARGUMENTS))
+def test_numpy_integer_counts_accepted(route):
+    _, call, valid = INTEGER_ARGUMENTS[route]
+    call(np.int64(valid))
 
 
 class TestWhiteEstimator:
