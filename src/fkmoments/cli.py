@@ -69,7 +69,9 @@ def _config_options(fn):
     return fn
 
 
-def _resolve(config_path, sets, **flags):
+def _resolve(config_path, sets, reads=None, **flags):
+    """The resolved configuration; ``reads``, if given, names the only
+    keys the command reads, and any other given key is a config error."""
     file_values = parse_config_file(config_path) if config_path else {}
     # flags come last, so they override --set
     shorthands = [f"{_FLAGS[name]}={value}" for name, value in flags.items() if value is not None]
@@ -79,6 +81,9 @@ def _resolve(config_path, sets, **flags):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         set_layer[key.strip()] = value.strip()
+    unread = sorted((file_values.keys() | set_layer.keys()) - set(reads)) if reads else []
+    if unread:
+        raise ConfigError(f"this command reads only {', '.join(reads)}; remove {', '.join(unread)}")
     return RunConfig.resolve(file_values, set_layer)
 
 
@@ -299,14 +304,22 @@ def compare(**kwargs):
         sys.exit(4)
 
 
+# the suites run at fixed parameters and read only their seed
+_VERIFY_KEYS = ("estimator.seed", "output.path", "output.format")
+
+
 @main.command()
 @click.argument("suite", type=click.Choice(available_suites()))
 @_config_options
 def verify(suite, **kwargs):
-    """Run a property suite; one record per check."""
+    """Run a property suite; one record per check.
+
+    The suites read only estimator.seed (--seed) and the output keys;
+    any other key exits 2.
+    """
 
     def body():
-        rc = _resolve(**kwargs)
+        rc = _resolve(reads=_VERIFY_KEYS, **kwargs)
         seed = rc.estimator_config().seed
         checks = run_suite(suite, seed=seed)
         records = []

@@ -21,15 +21,24 @@ with both paths evaluated at the same times, and reports e^{t} mean(V).
 
 One streaming engine, given a count law for K and a point law, runs all
 estimators.  Replicates are processed in fixed-size chunks whose
-generators are keyed by (seed, stream tag, chunk index).  Each chunk, in
-its worker thread, reduces its values to a small summary (sums per batch
-and per order drawn), which keeps its N - floor(0.999 (N - 1)) largest
-|v| so that the 0.999 quantile and the maximum of |v| stay exact.
-Summaries are merged in chunk order, so output is bit-identical for a
-given config whatever the number of workers, and memory is O(chunk +
-replicates/1000).  When the initial condition is constant its w-product
-is factored out of the replicate average, which keeps the bilinear
-scaling u0 -> c u0 exact at fixed seed.
+generators are keyed by (seed, stream tag, chunk index).  A chunk never
+draws K replicate by replicate: for each stderr batch it overlaps, it
+draws a count table, the number of its replicates with K = 0, 1, 2, ...
+(:func:`fkmoments.point_process.poisson_count_table`; the fixed-order
+routes put every replicate in one column).  The K = 0 replicates all take
+one known value and are never materialised: they enter the sums, the
+centred second moment and the largest |v| as counted copies.  Each K >= 1
+group is evaluated once per chunk and dealt to the batches in order.  The
+replicates of a batch are i.i.d., so every statistic has the law that
+per-replicate counts would give it.  Each chunk, in its worker thread,
+reduces its values to a small summary (sums per batch and per order
+drawn), which keeps its N - floor(0.999 (N - 1)) largest |v| so that the
+0.999 quantile and the maximum of |v| stay exact.  Summaries are merged
+in chunk order, so output is bit-identical for a given config whatever
+the number of workers, and memory is O(chunk + replicates/1000).  When
+the initial condition is constant its w-product is factored out of the
+replicate average, which keeps the bilinear scaling u0 -> c u0 exact at
+fixed seed.
 Standard errors come from ``BATCHES`` contiguous np.array_split batch
 means (robust under the heavy-tailed replicate values that uniform mode
 and the Riesz kernel produce); the naive per-replicate standard error is
@@ -60,7 +69,13 @@ from .kernels import (
     require_integer,
     require_kernel_dim,
 )
-from .point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
+from .point_process import (
+    TEMPORAL_IMPORTANCE,
+    UNIFORM,
+    fixed_count_table,
+    poisson_count_table,
+    sample_eta_tilted,
+)
 
 __all__ = [
     "EstimatorConfig",
@@ -163,6 +178,12 @@ def _largest(a: np.ndarray, keep: int) -> np.ndarray:
     return np.partition(a, a.size - keep)[a.size - keep :].copy()
 
 
+def _pooled_m2(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2_b: float) -> float:
+    """Centred second moment of two pooled samples (Chan, Golub and LeVeque)."""
+    delta = mean_b - mean_a
+    return m2_a + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
+
+
 @dataclass
 class _Summary:
     """Reduction of n consecutive replicate values.
@@ -170,9 +191,9 @@ class _Summary:
     Row i of ``batch_sums`` and ``order_sums`` is batch ``first_batch + i``
     of the run's np.array_split layout: ``batch_sums`` sums all its values,
     column K of ``order_sums`` those with K points, for every K up to the
-    largest drawn so far.  ``m2`` sums squared deviations from the values'
-    own mean; ``top`` holds as many of the largest |v| as the run's 0.999
-    quantile needs.
+    largest drawn so far, and ``order_counts`` counts each K.  ``m2`` sums
+    squared deviations from the values' own mean; ``top`` holds as many of
+    the largest |v| as the run's 0.999 quantile needs.
     """
 
     batch_sums: np.ndarray
@@ -187,11 +208,9 @@ class _Summary:
 
     def absorb(self, part: _Summary, keep: int) -> None:
         """Append the summary of the values that directly follow these."""
-        n = self.n + part.n
-        # pairwise update of the centred moment (Chan, Golub and LeVeque)
-        delta = part.mean() - (self.mean() if self.n else 0.0)
-        self.m2 += part.m2 + delta * delta * (self.n * part.n / n)
-        self.n = n
+        mean = self.mean() if self.n else 0.0
+        self.m2 = _pooled_m2(self.n, mean, self.m2, part.n, part.mean(), part.m2)
+        self.n += part.n
         self.sum_abs += part.sum_abs
         row = part.first_batch - self.first_batch
         rows = slice(row, row + part.batch_sums.size)
@@ -219,14 +238,19 @@ class _Summary:
         return float(np.std(means, ddof=1) / math.sqrt(means.size))
 
 
-def _stream(cfg: EstimatorConfig, stream: int, draw_counts, evaluate, v0=0.0) -> _Summary:
+def _stream(cfg: EstimatorConfig, stream: int, count_table, evaluate, v0=0.0) -> _Summary:
     """Summary of cfg.replicates replicate values, folded chunk by chunk.
 
-    ``draw_counts(rng, size)`` gives each replicate's point count K.  Those
-    with K = 0 take the value v0; the others are evaluated by
-    ``evaluate(K, g, rng)`` in groups of equal K, in increasing K.  Chunks
-    are summarised in worker threads and merged in chunk order, with at
-    most two chunks per worker in flight.
+    A chunk overlaps one or more stderr batches; ``count_table(rng, sizes)``
+    gives, for each overlap's size, how many of its replicates have K = 0,
+    1, 2, ... points (see :mod:`fkmoments.point_process`).  Replicates with
+    K = 0 all take the value v0 and are never materialised.  Each group of
+    equal K >= 1 is evaluated once per chunk, in increasing K, by
+    ``evaluate(K, g, rng)``, and its values are dealt to the overlaps in
+    order.  The replicates of a batch are i.i.d., so every statistic has
+    the law it would have with the counts drawn replicate by replicate.
+    Chunks are summarised in worker threads and merged in chunk order,
+    with at most two chunks per worker in flight.
     """
     total = cfg.replicates
     bounds = _batch_bounds(total, BATCHES)
@@ -235,34 +259,40 @@ def _stream(cfg: EstimatorConfig, stream: int, draw_counts, evaluate, v0=0.0) ->
     def summarise(idx: int, start: int) -> _Summary:
         size = min(CHUNK_SIZE, total - start)
         rng = _chunk_rng(cfg.seed, stream, idx)
-        counts = draw_counts(rng, size)
-        order_counts = np.bincount(counts)
         first, last = np.searchsorted(bounds, [start, start + size - 1], side="right") - 1
-        cuts = np.concatenate(([0], bounds[first + 1 : last + 1] - start))
-        # pairwise sums, as np.sum gives: a sequential sum (np.bincount
-        # with weights) drifts enough to move the batch-means stderr
-        order_sums = np.zeros((cuts.size, order_counts.size))
-        v = np.empty(size)
-        hits = 0
-        for kk in np.flatnonzero(order_counts):
-            drew = counts == kk
-            if kk == 0:
-                v[drew] = v0
-            else:
-                rest, h = _with_redraw(evaluate, int(kk), int(order_counts[kk]), rng)
-                v[drew] = rest
-                hits += h
-            order_sums[:, kk] = np.add.reduceat(np.where(drew, v, 0.0), cuts)
-        abs_v = np.abs(v)
+        edges = np.clip(bounds[first : last + 2], start, start + size)
+        table = count_table(rng, np.diff(edges))
+        order_counts = table.sum(axis=0)
+        n0 = int(order_counts[0])
+        order_sums = np.zeros(table.shape)
+        order_sums[:, 0] = table[:, 0] * v0
+        groups, hits = [], 0
+        for kk in np.flatnonzero(order_counts[1:]) + 1:
+            group, h = _with_redraw(evaluate, int(kk), int(order_counts[kk]), rng)
+            hits += h
+            # deal the group to the overlaps in order; pairwise sums, as
+            # np.sum gives: a sequential sum (np.bincount with weights)
+            # drifts enough to move the batch-means stderr
+            held = table[:, kk] > 0
+            starts = np.cumsum(table[:, kk]) - table[:, kk]
+            order_sums[held, kk] = np.add.reduceat(group, starts[held])
+            groups.append(group)
+        drawn = np.concatenate(groups) if groups else np.empty(0)
+        abs_drawn = np.abs(drawn)
+        m2 = 0.0
+        if drawn.size:
+            mean = float(np.mean(drawn))
+            # K = 0 joins as n0 copies of v0, with zero spread
+            m2 = _pooled_m2(drawn.size, mean, float(np.sum(np.square(drawn - mean))), n0, v0, 0.0)
         return _Summary(
-            batch_sums=np.add.reduceat(v, cuts),
+            batch_sums=order_sums.sum(axis=1),
             order_sums=order_sums,
             order_counts=order_counts,
-            top=_largest(abs_v, keep),
+            top=_largest(np.concatenate((abs_drawn, np.full(min(n0, keep), abs(v0)))), keep),
             first_batch=int(first),
             n=size,
-            sum_abs=float(np.sum(abs_v)),
-            m2=float(np.sum(np.square(v - np.mean(v)))),
+            sum_abs=float(np.sum(abs_drawn)) + n0 * abs(v0),
+            m2=m2,
             hits=hits,
         )
 
@@ -432,9 +462,7 @@ def estimate_second_moment_fractional(
     points = _fractional_points(t, s, k, cfg.mode)
     evaluate, wfac = _evaluator(t, s, q.x_arr, q.y_arr, f, u0, points)
     v0 = w_pair if wfac is None else 1.0
-    summary = _stream(
-        cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate, v0
-    )
+    summary = _stream(cfg, _STREAM_FRACTIONAL, poisson_count_table(t * s), evaluate, v0)
     return _estimate(summary, math.exp(t * s), wfac, _variance_warning(k, f, cfg.mode))
 
 
@@ -455,9 +483,7 @@ def estimate_second_moment_white(
 
     evaluate, wfac = _evaluator(t, t, x, y, f, u0, shared_times)
     v0 = w_pair if wfac is None else 1.0
-    summary = _stream(
-        cfg, _STREAM_WHITE, lambda rng, size: rng.poisson(t, size=size), evaluate, v0
-    )
+    summary = _stream(cfg, _STREAM_WHITE, poisson_count_table(t), evaluate, v0)
     return _estimate(summary, math.exp(t), wfac)
 
 
@@ -483,7 +509,7 @@ def estimate_order_contribution(
         return 0.0, 0.0
     points = _fractional_points(t, s, k, cfg.mode)
     evaluate, wfac = _evaluator(t, s, q.x_arr, q.y_arr, f, u0, points)
-    summary = _stream(cfg, _STREAM_ORDER, lambda rng, size: np.full(size, n), evaluate)
+    summary = _stream(cfg, _STREAM_ORDER, fixed_count_table(n), evaluate)
     est = _estimate(summary, (t * s) ** n / math.factorial(n), wfac)
     return est.value, est.stderr
 
@@ -508,6 +534,6 @@ def estimate_inner_product_mc(
         return np.broadcast_to(t_times, (g, kk)), np.broadcast_to(s_times, (g, kk)), 1.0
 
     evaluate, wfac = _evaluator(q.t, q.s, q.x_arr, q.y_arr, f, u0, fixed_times)
-    summary = _stream(cfg, _STREAM_INNER, lambda rng, size: np.full(size, n), evaluate)
+    summary = _stream(cfg, _STREAM_INNER, fixed_count_table(n), evaluate)
     est = _estimate(summary, 1.0, wfac)
     return est.value, est.stderr

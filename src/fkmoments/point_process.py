@@ -2,13 +2,18 @@
 
 Restricted to [0,t] x [0,s], the rate-1 planar process has a Poisson(ts)
 count K and, given K, i.i.d. locations.  The replicate engine
-(:mod:`fkmoments.mc_engine`) draws both in batches; its tilted locations,
-with density proportional to eta(t-a, s-b), come from
-:func:`sample_eta_tilted`, a pure function of (parameters, generator):
-fixed seeds give bit-reproducible output.
+(:mod:`fkmoments.mc_engine`) draws both in batches.  It never draws K
+replicate by replicate: a *count table* (:func:`poisson_count_table`)
+gives, for each of a few segments of replicates, how many of them have
+K = 0, 1, 2, ...  Its tilted locations, with density proportional to
+eta(t-a, s-b), come from :func:`sample_eta_tilted`.  Both are pure
+functions of (parameters, generator): fixed seeds give bit-reproducible
+output.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +23,8 @@ from .kernels import TemporalKernel
 __all__ = [
     "UNIFORM",
     "TEMPORAL_IMPORTANCE",
+    "fixed_count_table",
+    "poisson_count_table",
     "sample_eta_tilted",
 ]
 
@@ -27,6 +34,70 @@ TEMPORAL_IMPORTANCE = "importance"
 # Loop cap for the rejection sampler; acceptance probability is bounded
 # away from zero so this is never reached in practice.
 _REJECTION_CAP = 10**6
+
+
+# ---------------------------------------------------------------------------
+# count tables
+# ---------------------------------------------------------------------------
+#
+# A count table has one row per segment of replicates and one column per
+# count k = 0, 1, ..., kmax; entry (i, k) is how many replicates of
+# segment i have K = k points, so row i sums to the segment's size.  For
+# i.i.d. Poisson(lam) counts each row is multinomial, drawn as sequential
+# conditional binomials, N_k ~ Bin(n - N_0 - ... - N_{k-1}, q_k) with
+# q_k = P(K = k | K >= k) = p_k / P(K >= k), until no replicate is left.
+
+
+def _conditional_pmf(lam: float) -> np.ndarray:
+    """q_k = p_k / P(K >= k) of K ~ Poisson(lam) for k = 0, 1, ... up to
+    the first q_k = 1, which takes every replicate still left."""
+    if lam == 0.0:
+        return np.ones(1)
+    # P(K > top) is below 1e-30 for every lam >= 0
+    top = int(lam + 12.0 * math.sqrt(lam) + 40.0)
+    k = np.arange(top + 1)
+    log_pmf = k * math.log(lam) - lam - np.array([math.lgamma(j + 1.0) for j in k])
+    pmf = np.exp(log_pmf)
+    # tails summed upward from the smallest terms, so they keep full
+    # relative precision; a tail at most p_k leaves nothing beyond k
+    tail = np.cumsum(pmf[::-1])[::-1]
+    q = np.ones(top + 1)
+    np.divide(pmf, tail, out=q, where=tail > pmf)
+    q[-1] = 1.0
+    return q[: int(np.argmax(q == 1.0)) + 1]
+
+
+def poisson_count_table(lam: float):
+    """Count table of i.i.d. Poisson(lam) counts: ``table(rng, sizes)`` gives
+    an int array of shape (len(sizes), kmax + 1) whose row i sums to
+    sizes[i]; kmax is the largest count drawn, and lam = 0 gives the
+    single column K = 0."""
+    q = _conditional_pmf(float(lam))
+
+    def table(rng: np.random.Generator, sizes) -> np.ndarray:
+        left = np.array(sizes, dtype=np.int64)
+        columns = []
+        for q_k in q:
+            drawn = rng.binomial(left, q_k)
+            columns.append(drawn)
+            left -= drawn
+            if not left.any():
+                break
+        return np.stack(columns, axis=1)
+
+    return table
+
+
+def fixed_count_table(n: int):
+    """Count table in which every replicate has exactly n points: the
+    only nonzero column is K = n.  It consumes no random numbers."""
+
+    def table(rng: np.random.Generator, sizes) -> np.ndarray:
+        out = np.zeros((len(sizes), n + 1), dtype=np.int64)
+        out[:, n] = sizes
+        return out
+
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each check draws with a pinned seed and reports a named statistic against
 a fixed threshold, so the suites are deterministic and CI-safe.
-Statistical significance levels are fixed at 1e-3.  The integral
-identity runs the replicate engine itself, so it checks the engine's
-per-order bookkeeping against exact hypercube integrals.
+Statistical significance levels are fixed at 1e-3.  The Poisson law is
+checked on the engine's own count table as well as on drawn points, and
+the integral identity runs the replicate engine itself, so it checks the
+engine's per-order bookkeeping against exact hypercube integrals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from .chaos_oracle import QueryPoint, inner_product_closed_form
 from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel
 from .mc_engine import (
     _STREAM_FRACTIONAL,
+    BATCHES,
     EstimatorConfig,
+    _batch_bounds,
+    _chunk_rng,
     _estimate,
     _fractional_points,
     _stream,
@@ -26,7 +30,7 @@ from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import UNIFORM
+from .point_process import UNIFORM, poisson_count_table
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -56,33 +60,48 @@ def _rectangle_counts(points, owner, realizations, a, b, c, d):
     return np.bincount(owner[inside], minlength=realizations)
 
 
+def _chi2_gof_pvalue(observed: np.ndarray, lam: float, top: int = 3) -> float:
+    """Chi-square goodness of fit of count frequencies (K = 0, 1, ...) to
+    Poisson(lam), with counts >= ``top`` pooled into one cell."""
+    # scipy is imported only here and in check_conditional_uniformity, so
+    # importing the package or its CLI does not load it
+    from scipy import stats
+
+    observed = np.append(observed[:top], observed[top:].sum())
+    observed = np.pad(observed, (0, top + 1 - observed.size))
+    pmf = stats.poisson.pmf(np.arange(top), lam)
+    expected = np.append(pmf, 1.0 - pmf.sum()) * observed.sum()
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return float(stats.chi2.sf(chi2, df=top))
+
+
 def check_poisson_law(seed: int = DEFAULT_SEED, realizations: int = 100_000):
     """Counts over a rectangle are Poisson(area); disjoint counts decorrelate.
 
     The points of all rate-1 realizations on [0,1]^2 are drawn in one array.
     """
-    # scipy is imported only here and in check_conditional_uniformity, so
-    # importing the package or its CLI does not load it
-    from scipy import stats
-
     rng = _rng(seed)
     totals = rng.poisson(1.0, size=realizations)
     points = rng.uniform(0.0, 1.0, size=(int(totals.sum()), 2))
     owner = np.repeat(np.arange(realizations), totals)
     c1 = _rectangle_counts(points, owner, realizations, 0.0, 0.5, 0.0, 0.5)
     c2 = _rectangle_counts(points, owner, realizations, 0.5, 1.0, 0.5, 1.0)
-    lam = 0.25
-    top = 3
-    observed = np.bincount(np.minimum(c1, top), minlength=top + 1)
-    pmf = stats.poisson.pmf(np.arange(top), lam)
-    expected = np.append(pmf, 1.0 - pmf.sum()) * realizations
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    pvalue = float(stats.chi2.sf(chi2, df=top))
+    pvalue = _chi2_gof_pvalue(np.bincount(c1), 0.25)
     corr = float(np.corrcoef(c1, c2)[0, 1])
     return [
         CheckResult("poisson-law", "chi-square-gof-pvalue", pvalue, ALPHA, pvalue > ALPHA, ">"),
         CheckResult("poisson-law", "disjoint-count-correlation", abs(corr), 0.02, abs(corr) < 0.02, "<"),
     ]
+
+
+def check_count_table(seed: int = DEFAULT_SEED, replicates: int = 400_000):
+    """The replicate engine's count table is Poisson(ts) at the A6 query's
+    ts = 0.25: the table it draws for ``replicates`` fractional replicates,
+    one row per stderr batch, with the first chunk's generator."""
+    sizes = np.diff(_batch_bounds(replicates, BATCHES))
+    table = poisson_count_table(0.25)(_chunk_rng(seed, _STREAM_FRACTIONAL, 0), sizes)
+    pvalue = _chi2_gof_pvalue(table.sum(axis=0), 0.25)
+    return [CheckResult("poisson-law", "engine-count-table-pvalue", pvalue, ALPHA, pvalue > ALPHA, ">")]
 
 
 def check_conditional_uniformity(
@@ -118,9 +137,7 @@ def hypercube_integrals(F, t: float, s: float, replicates: int, seed: int) -> di
         taus, rhos, _ = points(g, kk, rng)
         return F(t - taus, s - rhos)
 
-    summary = _stream(
-        cfg, _STREAM_FRACTIONAL, lambda rng, size: rng.poisson(t * s, size=size), evaluate
-    )
+    summary = _stream(cfg, _STREAM_FRACTIONAL, poisson_count_table(t * s), evaluate)
     per_order = _estimate(summary, math.exp(t * s), None).per_order
     return {
         n: (math.factorial(n) * value, math.factorial(n) * stderr)
@@ -201,7 +218,7 @@ def check_estimator_identities(seed: int = DEFAULT_SEED, replicates: int = 100_0
 
 
 SUITES = {
-    "poisson-law": check_poisson_law,
+    "poisson-law": lambda seed: check_poisson_law(seed=seed) + check_count_table(seed=seed),
     "conditional-uniformity": check_conditional_uniformity,
     "integral-identity": check_integral_identity,
     "lemma2": check_lemma2,

@@ -295,6 +295,27 @@ class TestVerifyCommand:
         }
         assert all(rec["passed"] for rec in records)
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("--set", "kernel.hurst=0.9"), "kernel.hurst"),
+            (("--replicates", "10"), "estimator.replicates"),
+        ],
+    )
+    def test_keys_no_suite_reads_exit_2(self, args, key):
+        result = run_cli("verify", "poisson-law", *args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error:")
+        assert key in result.stderr and result.stdout == ""
+
+    def test_seed_and_output_keys_accepted(self, tmp_path):
+        out = tmp_path / "checks.csv"
+        result = run_cli(
+            "verify", "poisson-law", "--seed", "8", "--format", "csv", "--set", f"output.path={out}"
+        )
+        assert result.exit_code == 0, result.stderr
+        assert "engine-count-table-pvalue" in out.read_text()
+
     def test_unknown_suite_rejected(self):
         result = run_cli("verify", "nope")
         assert result.exit_code == 2  # click usage error

@@ -441,24 +441,46 @@ class TestStreamingSummary:
         monkeypatch.setattr(mc_engine, "CHUNK_SIZE", chunk)
         monkeypatch.setattr(mc_engine, "BATCHES", batch_count)
         n, v0 = 10_007, 0.8
-        data = np.random.default_rng(batch_count)
-        # K up to about 9, so chunks draw different largest counts;
-        # heavy-tailed signed values
-        counts = data.poisson(2.0, n)
-        values = data.standard_t(2.5, n)
-        values[counts == 0] = v0
         cfg = EstimatorConfig(replicates=n, seed=0, workers=2)
+        tables, groups, calls = {}, {}, []
 
-        def rows(rng):
+        def chunk_of(rng):
             # each chunk's generator is keyed by (stream, chunk index)
-            idx = rng.bit_generator.seed_seq.spawn_key[-1]
-            return slice(idx * chunk, (idx + 1) * chunk)
+            return rng.bit_generator.seed_seq.spawn_key[-1]
+
+        def count_table(rng, sizes):
+            # K up to about 9, so chunks draw different largest counts
+            data = np.random.default_rng((batch_count, chunk_of(rng)))
+            counts = [data.poisson(2.0, size) for size in sizes]
+            width = max(c.max() for c in counts) + 1
+            table = np.array([np.bincount(c, minlength=width) for c in counts])
+            tables[chunk_of(rng)] = table
+            return table
 
         def evaluate(kk, g, rng):
-            block = rows(rng)
-            return values[block][counts[block] == kk]
+            assert kk >= 1
+            calls.append(g)
+            # heavy-tailed signed values
+            data = np.random.default_rng((batch_count, chunk_of(rng), kk))
+            groups[chunk_of(rng), kk] = values = data.standard_t(2.5, g)
+            return values.copy()
 
-        summary = mc_engine._stream(cfg, 0, lambda rng, size: counts[rows(rng)], evaluate, v0)
+        summary = mc_engine._stream(cfg, 0, count_table, evaluate, v0)
+        assert sum(calls) == sum(int(t[:, 1:].sum()) for t in tables.values())
+
+        # the dense replicates: each chunk's overlaps with the batches in
+        # order, each overlap's K = 0 values, then its share of each group
+        values, counts = [], []
+        for idx in sorted(tables):
+            table = tables[idx]
+            starts = np.cumsum(table, axis=0) - table
+            for row, start in zip(table, starts):
+                for kk in np.flatnonzero(row):
+                    got, at = row[kk], start[kk]
+                    counts.append(np.full(got, kk))
+                    values.append(np.full(got, v0) if kk == 0 else groups[idx, kk][at : at + got])
+        values, counts = np.concatenate(values), np.concatenate(counts)
+        assert values.size == n
         est = mc_engine._estimate(summary, math.exp(0.3), wfac)
         ref = _dense_reference(values, counts, math.exp(0.3), wfac, batch_count)
 

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fkmoments import (
@@ -17,10 +19,18 @@ from fkmoments import (
     estimate_second_moment_white,
 )
 from fkmoments.mc_engine import _fractional_points
-from fkmoments.point_process import TEMPORAL_IMPORTANCE, UNIFORM, sample_eta_tilted
+from fkmoments.point_process import (
+    TEMPORAL_IMPORTANCE,
+    UNIFORM,
+    _conditional_pmf,
+    fixed_count_table,
+    poisson_count_table,
+    sample_eta_tilted,
+)
 from fkmoments.verify import (
     _rectangle_counts,
     check_conditional_uniformity,
+    check_count_table,
     check_poisson_law,
     hypercube_integrals,
 )
@@ -122,6 +132,73 @@ class TestCountRectangle:
     def test_disjoint_rectangle_independence(self):
         corr = check_poisson_law(seed=9)[1]
         assert corr.name == "disjoint-count-correlation" and corr.statistic < 0.02 and corr.passed
+
+
+def assert_is_count_table(table, sizes):
+    assert table.ndim == 2 and table.shape[0] == len(sizes)
+    assert np.issubdtype(table.dtype, np.integer)
+    assert np.all(table >= 0)
+    assert table.sum(axis=1).tolist() == list(sizes)
+
+
+class TestCountTable:
+    # the engine's count draw: per segment, how many replicates have K = k
+    SIZES = (0, 1, 7, 31_250, 65_536)
+
+    def test_rows_sum_to_segment_sizes(self):
+        table = poisson_count_table(0.25)(make_rng(20), self.SIZES)
+        assert_is_count_table(table, self.SIZES)
+        # the largest count drawn is the last column
+        assert table[:, -1].any()
+        assert table.shape[1] >= 4
+
+    def test_zero_rate_is_pure_k0(self):
+        rng = make_rng(21)
+        table = poisson_count_table(0.0)(rng, self.SIZES)
+        assert table.tolist() == [[n] for n in self.SIZES]
+
+    def test_fixed_table_is_one_column(self):
+        rng = make_rng(22)
+        state = rng.bit_generator.state
+        table = fixed_count_table(3)(rng, self.SIZES)
+        assert_is_count_table(table, self.SIZES)
+        assert np.flatnonzero(table.any(axis=0)).tolist() == [3]
+        assert table[:, 3].tolist() == list(self.SIZES)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("lam", [1e-12, 0.25, 1.0, 30.0])
+    def test_conditional_binomials_rebuild_the_pmf(self, lam):
+        # P(K = k) = q_k * prod_{j<k} (1 - q_j) is the Poisson pmf, to the
+        # rounding of a q_k near 1 in 1 - q_k
+        q = _conditional_pmf(lam)
+        reached = np.concatenate(([1.0], np.cumprod(1.0 - q)[:-1]))
+        k = np.arange(q.size)
+        pmf = stats.poisson.pmf(k, lam)
+        np.testing.assert_allclose(q * reached, pmf, rtol=1e-12, atol=1e-15)
+        assert q[-1] == 1.0 and stats.poisson.sf(k[-1], lam) < 1e-30
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(min_value=0.0, max_value=1.0),
+        sizes=st.lists(st.integers(min_value=0, max_value=65_536), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(lam=5e-324, sizes=[65_536], seed=0)
+    @example(lam=1e-300, sizes=[1, 0], seed=1)
+    @example(lam=1e-9, sizes=[65_536, 65_536, 65_536], seed=2)
+    @example(lam=0.0, sizes=[0], seed=3)
+    def test_any_rate_and_segments(self, lam, sizes, seed):
+        table = poisson_count_table(lam)(make_rng(seed), sizes)
+        assert_is_count_table(table, sizes)
+        if sum(sizes) and table.shape[1] > 1:
+            assert table[:, -1].any()
+        if lam == 0.0:
+            assert table.shape[1] == 1
+
+    def test_engine_table_chi_square(self):
+        (table_check,) = check_count_table(seed=23)
+        assert table_check.name == "engine-count-table-pvalue"
+        assert table_check.statistic > ALPHA and table_check.passed
 
 
 class TestRestrictedSampling:
