@@ -20,22 +20,22 @@ The white-in-time representation averages over linear-Poisson jump times,
 with both paths evaluated at the same times, and reports e^{t} mean(V).
 
 One streaming engine, given a count law for K and a point law, runs all
-estimators.  Replicates are processed in fixed-size chunks whose
-generators are keyed by (seed, stream tag, chunk index).  A chunk never
-draws K replicate by replicate: for each stderr batch it overlaps, it
-draws a count table, the number of its replicates with K = 0, 1, 2, ...
-(:func:`fkmoments.point_process.poisson_count_table`; the fixed-order
-routes put every replicate in one column).  The K = 0 replicates all take
-one known value and are never materialised: they enter the sums, the
-centred second moment and the largest |v| as counted copies.  Each K >= 1
-group is evaluated once per chunk and dealt to the batches in order.  The
+estimators.  It never draws K replicate by replicate: once per run it
+draws a count table, the number of replicates of each stderr batch with
+K = 0, 1, 2, ... (:func:`fkmoments.point_process.poisson_count_table`;
+the fixed-order routes put every replicate in one column).  The K = 0
+replicates all take one known value and are never materialised: they
+enter the sums, the centred second moment and the largest |v| as counted
+copies.  Each K >= 1 group is evaluated in slices of at most
+``CHUNK_SIZE`` points, whose generators are keyed by (seed, stream tag,
+slice index), and its values are dealt to the batches in order.  The
 replicates of a batch are i.i.d., so every statistic has the law that
-per-replicate counts would give it.  Each chunk, in its worker thread,
-reduces its values to a small summary (sums per batch and per order
-drawn), which keeps its N - floor(0.999 (N - 1)) largest |v| so that the
-0.999 quantile and the maximum of |v| stay exact.  Summaries are merged
-in chunk order, so output is bit-identical for a given config whatever
-the number of workers, and memory is O(chunk + replicates/1000).  When
+per-replicate counts would give it.  Each slice, in its worker thread,
+reduces its values to a small summary (sums per batch and per order),
+which keeps its N - floor(0.999 (N - 1)) largest |v| so that the 0.999
+quantile and the maximum of |v| stay exact.  Summaries are merged in
+slice order, so output is bit-identical for a given config whatever the
+number of workers, and memory is O(slice + replicates/1000).  When
 the initial condition is constant its w-product is factored out of the
 replicate average, which keeps the bilinear scaling u0 -> c u0 exact at
 fixed seed.
@@ -86,7 +86,8 @@ __all__ = [
     "estimate_inner_product_mc",
 ]
 
-CHUNK_SIZE = 1 << 16
+# points per slice of a K group
+CHUNK_SIZE = 1 << 14
 
 # batch means behind every reported stderr
 BATCHES = 32
@@ -108,7 +109,7 @@ _Q999 = 0.999
 class EstimatorConfig:
     """Replication plan for the Monte Carlo estimators.
 
-    ``workers`` caps chunk-level parallelism (0 means machine
+    ``workers`` caps slice-level parallelism (0 means machine
     parallelism); results do not depend on it.
     """
 
@@ -152,8 +153,8 @@ class MomentEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _chunk_rng(seed: int, stream: int, chunk_idx: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, chunk_idx))
+def _chunk_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream, index))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -186,47 +187,37 @@ def _pooled_m2(n_a: int, mean_a: float, m2_a: float, n_b: int, mean_b: float, m2
 
 @dataclass
 class _Summary:
-    """Reduction of n consecutive replicate values.
+    """Reduction of n replicate values.
 
-    Row i of ``batch_sums`` and ``order_sums`` is batch ``first_batch + i``
-    of the run's np.array_split layout: ``batch_sums`` sums all its values,
-    column K of ``order_sums`` those with K points, for every K up to the
-    largest drawn so far, and ``order_counts`` counts each K.  ``m2`` sums
-    squared deviations from the values' own mean; ``top`` holds as many of
-    the largest |v| as the run's 0.999 quantile needs.
+    Row i, column K of ``order_sums`` sums the values with K points that
+    fall in batch i of the run's np.array_split layout, and
+    ``order_counts`` counts the values with each K; the run's count table
+    fixes both widths.  ``m2`` sums squared deviations from the values'
+    own mean; ``top`` holds as many of the largest |v| as the run's 0.999
+    quantile needs.
     """
 
-    batch_sums: np.ndarray
     order_sums: np.ndarray
     order_counts: np.ndarray
-    top: np.ndarray = field(default_factory=lambda: np.empty(0))
-    first_batch: int = 0
-    n: int = 0
-    sum_abs: float = 0.0
-    m2: float = 0.0
-    hits: int = 0
+    top: np.ndarray
+    n: int
+    sum_abs: float
+    m2: float
+    hits: int
 
     def absorb(self, part: _Summary, keep: int) -> None:
-        """Append the summary of the values that directly follow these."""
+        """Add the summary of further values of the run."""
         mean = self.mean() if self.n else 0.0
         self.m2 = _pooled_m2(self.n, mean, self.m2, part.n, part.mean(), part.m2)
         self.n += part.n
         self.sum_abs += part.sum_abs
-        row = part.first_batch - self.first_batch
-        rows = slice(row, row + part.batch_sums.size)
-        self.batch_sums[rows] += part.batch_sums
-        orders = part.order_counts.size
-        if orders > self.order_counts.size:
-            wider = orders - self.order_counts.size
-            self.order_sums = np.pad(self.order_sums, ((0, 0), (0, wider)))
-            self.order_counts = np.pad(self.order_counts, (0, wider))
-        self.order_sums[rows, :orders] += part.order_sums
-        self.order_counts[:orders] += part.order_counts
+        self.order_sums += part.order_sums
+        self.order_counts += part.order_counts
         self.top = _largest(np.concatenate((self.top, part.top)), keep)
         self.hits += part.hits
 
     def _sums(self, order) -> np.ndarray:
-        return self.batch_sums if order is None else self.order_sums[:, order]
+        return self.order_sums.sum(axis=1) if order is None else self.order_sums[:, order]
 
     def mean(self, order=None) -> float:
         """Mean of v times [K = order], or of v for the default."""
@@ -234,74 +225,66 @@ class _Summary:
 
     def batch_stderr(self, order=None) -> float:
         """Batch-means standard error of ``mean(order)``."""
-        means = self._sums(order) / np.diff(_batch_bounds(self.n, self.batch_sums.size))
+        means = self._sums(order) / np.diff(_batch_bounds(self.n, self.order_sums.shape[0]))
         return float(np.std(means, ddof=1) / math.sqrt(means.size))
 
 
 def _stream(cfg: EstimatorConfig, stream: int, count_table, evaluate, v0=0.0) -> _Summary:
-    """Summary of cfg.replicates replicate values, folded chunk by chunk.
+    """Summary of cfg.replicates replicate values, folded slice by slice.
 
-    A chunk overlaps one or more stderr batches; ``count_table(rng, sizes)``
-    gives, for each overlap's size, how many of its replicates have K = 0,
-    1, 2, ... points (see :mod:`fkmoments.point_process`).  Replicates with
-    K = 0 all take the value v0 and are never materialised.  Each group of
-    equal K >= 1 is evaluated once per chunk, in increasing K, by
-    ``evaluate(K, g, rng)``, and its values are dealt to the overlaps in
-    order.  The replicates of a batch are i.i.d., so every statistic has
-    the law it would have with the counts drawn replicate by replicate.
-    Chunks are summarised in worker threads and merged in chunk order,
-    with at most two chunks per worker in flight.
+    ``count_table(rng, sizes)`` draws once, from generator 0 of the
+    stream, how many replicates of each stderr batch have K = 0, 1, 2, ...
+    points (see :mod:`fkmoments.point_process`).  Replicates with K = 0
+    all take the value v0 and are never materialised.  Each group of
+    equal K >= 1 is evaluated in slices of at most CHUNK_SIZE points (one
+    replicate when K alone exceeds it) by ``evaluate(K, g, rng)``, and
+    its values are dealt to the batches in order.  Slices run in
+    increasing K, then position, with generators 1, 2, ...  The
+    replicates of a batch are i.i.d., so every statistic has the law it
+    would have with the counts drawn replicate by replicate.  Slices are
+    summarised in worker threads and merged in order, with at most two
+    slices per worker in flight.
     """
     total = cfg.replicates
-    bounds = _batch_bounds(total, BATCHES)
     keep = total - _q999_position(total)[0]
+    table = count_table(_chunk_rng(cfg.seed, stream, 0), np.diff(_batch_bounds(total, BATCHES)))
+    # batch i holds positions [ends[i, K] - table[i, K], ends[i, K]) of group K
+    ends = np.cumsum(table, axis=0)
 
-    def summarise(idx: int, start: int) -> _Summary:
-        size = min(CHUNK_SIZE, total - start)
-        rng = _chunk_rng(cfg.seed, stream, idx)
-        first, last = np.searchsorted(bounds, [start, start + size - 1], side="right") - 1
-        edges = np.clip(bounds[first : last + 2], start, start + size)
-        table = count_table(rng, np.diff(edges))
-        order_counts = table.sum(axis=0)
-        n0 = int(order_counts[0])
+    def part(kk, sums, n, m2, top, sum_abs, hits=0) -> _Summary:
         order_sums = np.zeros(table.shape)
-        order_sums[:, 0] = table[:, 0] * v0
-        groups, hits = [], 0
-        for kk in np.flatnonzero(order_counts[1:]) + 1:
-            group, h = _with_redraw(evaluate, int(kk), int(order_counts[kk]), rng)
-            hits += h
-            # deal the group to the overlaps in order; pairwise sums, as
-            # np.sum gives: a sequential sum (np.bincount with weights)
-            # drifts enough to move the batch-means stderr
-            held = table[:, kk] > 0
-            starts = np.cumsum(table[:, kk]) - table[:, kk]
-            order_sums[held, kk] = np.add.reduceat(group, starts[held])
-            groups.append(group)
-        drawn = np.concatenate(groups) if groups else np.empty(0)
-        abs_drawn = np.abs(drawn)
-        m2 = 0.0
-        if drawn.size:
-            mean = float(np.mean(drawn))
-            # K = 0 joins as n0 copies of v0, with zero spread
-            m2 = _pooled_m2(drawn.size, mean, float(np.sum(np.square(drawn - mean))), n0, v0, 0.0)
-        return _Summary(
-            batch_sums=order_sums.sum(axis=1),
-            order_sums=order_sums,
-            order_counts=order_counts,
-            top=_largest(np.concatenate((abs_drawn, np.full(min(n0, keep), abs(v0)))), keep),
-            first_batch=int(first),
-            n=size,
-            sum_abs=float(np.sum(abs_drawn)) + n0 * abs(v0),
-            m2=m2,
-            hits=hits,
-        )
+        order_sums[:, kk] = sums
+        order_counts = np.zeros(table.shape[1], dtype=np.intp)
+        order_counts[kk] = n
+        return _Summary(order_sums, order_counts, top, n, sum_abs, m2, hits)
 
-    acc = _Summary(np.zeros(BATCHES), np.zeros((BATCHES, 0)), np.zeros(0, dtype=np.intp))
+    def slices():
+        for kk in range(1, table.shape[1]):
+            size, step = int(ends[-1, kk]), max(1, CHUNK_SIZE // kk)
+            for start in range(0, size, step):
+                yield kk, start, min(step, size - start)
+
+    def summarise(idx: int, kk: int, start: int, g: int) -> _Summary:
+        values, hits = _with_redraw(evaluate, kk, g, _chunk_rng(cfg.seed, stream, idx))
+        # each batch's share of the slice; pairwise sums, as np.sum gives:
+        # a sequential sum (np.bincount with weights) drifts enough to
+        # move the batch-means stderr
+        cuts = np.clip(ends[:, kk] - table[:, kk] - start, 0, g)
+        held = np.clip(ends[:, kk] - start, 0, g) > cuts
+        sums = np.zeros(table.shape[0])
+        sums[held] = np.add.reduceat(values, cuts[held])
+        abs_values = np.abs(values)
+        m2 = float(np.sum(np.square(values - np.mean(values))))
+        return part(kk, sums, g, m2, _largest(abs_values, keep), float(np.sum(abs_values)), hits)
+
+    # K = 0 joins as n0 copies of v0, with zero spread
+    n0 = int(ends[-1, 0])
+    acc = part(0, table[:, 0] * v0, n0, 0.0, np.full(min(n0, keep), abs(v0)), n0 * abs(v0))
     workers = cfg.effective_workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for idx, start in enumerate(range(0, total, CHUNK_SIZE)):
-            pending.append(pool.submit(summarise, idx, start))
+        for idx, piece in enumerate(slices(), start=1):
+            pending.append(pool.submit(summarise, idx, *piece))
             if len(pending) == 2 * workers:
                 acc.absorb(pending.popleft().result(), keep)
         for fut in pending:

@@ -3,12 +3,12 @@
 Restricted to [0,t] x [0,s], the rate-1 planar process has a Poisson(ts)
 count K and, given K, i.i.d. locations.  The replicate engine
 (:mod:`fkmoments.mc_engine`) draws both in batches.  It never draws K
-replicate by replicate: a *count table* (:func:`poisson_count_table`)
-gives, for each of a few segments of replicates, how many of them have
-K = 0, 1, 2, ...  Its tilted locations, with density proportional to
-eta(t-a, s-b), come from :func:`sample_eta_tilted`.  Both are pure
-functions of (parameters, generator): fixed seeds give bit-reproducible
-output.
+replicate by replicate: one *count table* per run
+(:func:`poisson_count_table`) gives, for each stderr batch, how many of
+its replicates have K = 0, 1, 2, ...  Its tilted locations, with
+density proportional to eta(t-a, s-b), come from
+:func:`sample_eta_tilted`.  Both are pure functions of (parameters,
+generator): fixed seeds give bit-reproducible output.
 """
 
 from __future__ import annotations

@@ -94,13 +94,18 @@ def check_poisson_law(seed: int = DEFAULT_SEED, realizations: int = 100_000):
     ]
 
 
+def _engine_count_table(seed: int, replicates: int) -> np.ndarray:
+    """The count table a fractional run draws at ts = 0.25: one row per
+    stderr batch, from the run's generator 0."""
+    sizes = np.diff(_batch_bounds(replicates, BATCHES))
+    return poisson_count_table(0.25)(_chunk_rng(seed, _STREAM_FRACTIONAL, 0), sizes)
+
+
 def check_count_table(seed: int = DEFAULT_SEED, replicates: int = 400_000):
     """The replicate engine's count table is Poisson(ts) at the A6 query's
-    ts = 0.25: the table it draws for ``replicates`` fractional replicates,
-    one row per stderr batch, with the first chunk's generator."""
-    sizes = np.diff(_batch_bounds(replicates, BATCHES))
-    table = poisson_count_table(0.25)(_chunk_rng(seed, _STREAM_FRACTIONAL, 0), sizes)
-    pvalue = _chi2_gof_pvalue(table.sum(axis=0), 0.25)
+    ts = 0.25: the whole table a fractional run of ``replicates``
+    replicates draws, one row per stderr batch."""
+    pvalue = _chi2_gof_pvalue(_engine_count_table(seed, replicates).sum(axis=0), 0.25)
     return [CheckResult("poisson-law", "engine-count-table-pvalue", pvalue, ALPHA, pvalue > ALPHA, ">")]
 
 

@@ -392,7 +392,8 @@ _ESTIMATORS = {
 
 @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
 def test_worker_invariance_bitwise(name):
-    # 150_001 replicates: two full chunks and a ragged third
+    # 150_001 replicates: ragged batches, and groups of many slices with
+    # a ragged last one
     results = [
         _ESTIMATORS[name](
             EstimatorConfig(replicates=150_001, seed=61, mode="importance", workers=workers)
@@ -432,53 +433,63 @@ def _dense_reference(v, counts, scale, wfac, batch_count):
 
 
 class TestStreamingSummary:
-    """The chunk summaries, merged, against a reduction of the dense values."""
+    """The slice summaries, merged, against a reduction of the dense values."""
 
     @pytest.mark.parametrize("wfac", [None, 1.7])
     @pytest.mark.parametrize("batch_count", [7, 32])
     def test_matches_dense_reference(self, monkeypatch, batch_count, wfac):
-        chunk = 1000
-        monkeypatch.setattr(mc_engine, "CHUNK_SIZE", chunk)
+        points_per_slice = 1000
+        monkeypatch.setattr(mc_engine, "CHUNK_SIZE", points_per_slice)
         monkeypatch.setattr(mc_engine, "BATCHES", batch_count)
         n, v0 = 10_007, 0.8
         cfg = EstimatorConfig(replicates=n, seed=0, workers=2)
-        tables, groups, calls = {}, {}, []
+        tables, slices = [], {}
 
-        def chunk_of(rng):
-            # each chunk's generator is keyed by (stream, chunk index)
+        def key_of(rng):
+            # each generator is keyed by (stream, index): 0 for the table,
+            # then 1, 2, ... for the slices in (K, position) order
             return rng.bit_generator.seed_seq.spawn_key[-1]
 
         def count_table(rng, sizes):
-            # K up to about 9, so chunks draw different largest counts
-            data = np.random.default_rng((batch_count, chunk_of(rng)))
+            assert key_of(rng) == 0
+            # K up to about 9, so groups span from one slice to many
+            data = np.random.default_rng(batch_count)
             counts = [data.poisson(2.0, size) for size in sizes]
             width = max(c.max() for c in counts) + 1
-            table = np.array([np.bincount(c, minlength=width) for c in counts])
-            tables[chunk_of(rng)] = table
-            return table
+            tables.append(np.array([np.bincount(c, minlength=width) for c in counts]))
+            return tables[-1]
 
         def evaluate(kk, g, rng):
             assert kk >= 1
-            calls.append(g)
+            assert g * kk <= points_per_slice or g == 1
             # heavy-tailed signed values
-            data = np.random.default_rng((batch_count, chunk_of(rng), kk))
-            groups[chunk_of(rng), kk] = values = data.standard_t(2.5, g)
+            data = np.random.default_rng((batch_count, key_of(rng)))
+            values = data.standard_t(2.5, g)
+            slices[key_of(rng)] = kk, values
             return values.copy()
 
         summary = mc_engine._stream(cfg, 0, count_table, evaluate, v0)
-        assert sum(calls) == sum(int(t[:, 1:].sum()) for t in tables.values())
+        (table,) = tables
+        assert sorted(slices) == list(range(1, len(slices) + 1))
+        got = [kk for _, (kk, _) in sorted(slices.items())]
+        assert got == sorted(got)
+        groups = {
+            kk: np.concatenate([v for _, (k, v) in sorted(slices.items()) if k == kk])
+            for kk in set(got)
+        }
+        assert {kk: g.size for kk, g in groups.items()} == {
+            kk: int(table[:, kk].sum()) for kk in range(1, table.shape[1]) if table[:, kk].any()
+        }
 
-        # the dense replicates: each chunk's overlaps with the batches in
-        # order, each overlap's K = 0 values, then its share of each group
+        # the dense replicates: batch by batch, its K = 0 values, then its
+        # share of each group in order
         values, counts = [], []
-        for idx in sorted(tables):
-            table = tables[idx]
-            starts = np.cumsum(table, axis=0) - table
-            for row, start in zip(table, starts):
-                for kk in np.flatnonzero(row):
-                    got, at = row[kk], start[kk]
-                    counts.append(np.full(got, kk))
-                    values.append(np.full(got, v0) if kk == 0 else groups[idx, kk][at : at + got])
+        starts = np.cumsum(table, axis=0) - table
+        for row, start in zip(table, starts):
+            for kk in np.flatnonzero(row):
+                size, at = row[kk], start[kk]
+                counts.append(np.full(size, kk))
+                values.append(np.full(size, v0) if kk == 0 else groups[kk][at : at + size])
         values, counts = np.concatenate(values), np.concatenate(counts)
         assert values.size == n
         est = mc_engine._estimate(summary, math.exp(0.3), wfac)

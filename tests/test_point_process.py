@@ -28,6 +28,7 @@ from fkmoments.point_process import (
     sample_eta_tilted,
 )
 from fkmoments.verify import (
+    _engine_count_table,
     _rectangle_counts,
     check_conditional_uniformity,
     check_count_table,
@@ -199,6 +200,14 @@ class TestCountTable:
         (table_check,) = check_count_table(seed=23)
         assert table_check.name == "engine-count-table-pvalue"
         assert table_check.statistic > ALPHA and table_check.passed
+
+    def test_engine_draws_the_checked_table(self):
+        # the table the check tests is the one a fractional run at ts = 0.25 draws
+        cfg = EstimatorConfig(replicates=400_000, seed=42)
+        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        est = estimate_second_moment_fractional(q, K75, ZeroKernel(dim=1), Constant(1.0), cfg)
+        counts = _engine_count_table(42, 400_000).sum(axis=0)
+        assert [c[2] for c in est.per_order.values()] == counts.tolist()
 
 
 class TestRestrictedSampling:
