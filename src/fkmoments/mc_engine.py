@@ -410,8 +410,10 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
 
     ``evaluate(kk, g, rng)`` gives the values of g replicates with kk
     points each, whose elapsed times and temporal weight come from
-    ``points(g, kk, rng)``.  The values leave out the w-product wfac = c*c
-    when u0 is the constant c; otherwise wfac is None.
+    ``points(g, kk, rng)``.  When the point law gives both paths the same
+    times (``rhos is taus``), the two paths are the two halves of one
+    2d-dimensional path, drawn with one sort.  The values leave out the
+    w-product wfac = c*c when u0 is the constant c; otherwise wfac is None.
     """
     d = x.shape[0]
     offset = x - y
@@ -419,8 +421,12 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
 
     def evaluate(kk, g, rng):
         taus, rhos, weight = points(g, kk, rng)
-        w1 = brownian_batch_nd(taus, d, rng)
-        w2 = brownian_batch_nd(rhos, d, rng)
+        if rhos is taus:
+            w = brownian_batch_nd(taus, 2 * d, rng)
+            w1, w2 = w[..., :d], w[..., d:]
+        else:
+            w1 = brownian_batch_nd(taus, d, rng)
+            w2 = brownian_batch_nd(rhos, d, rng)
         rest = weight * np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
         if wfac is None:
             b1_star, tau_star = _value_at_max(w1, taus, x)

@@ -7,8 +7,11 @@ replicate by replicate: one *count table* per run
 (:func:`poisson_count_table`) gives, for each stderr batch, how many of
 its replicates have K = 0, 1, 2, ...  Its tilted locations, with
 density proportional to eta(t-a, s-b), come from
-:func:`sample_eta_tilted`.  Both are pure functions of (parameters,
-generator): fixed seeds give bit-reproducible output.
+:func:`sample_eta_tilted`: it draws the time gap by rejection from a
+power-law proposal (one power per candidate, acceptance rate at least
+1/2), then the position along the diagonal uniformly.  Both are pure
+functions of (parameters, generator): fixed seeds give bit-reproducible
+output.
 """
 
 from __future__ import annotations
@@ -108,54 +111,20 @@ def fixed_count_table(n: int):
 # C = eta_mass(t, s).  Substituting u = t-a, v = s-b turns this into
 # sampling (u, v) with density eta(u, v) / C on the same rectangle.
 #
-# The u-marginal (up to the factor alpha_H/(2H-1) = H) is
-#     m(u) = H (u^p + (s-u)^p)        for u <  s,
-#     m(u) = H (u^p - (u-s)^p)        for u >= s,
-# with p = 2H - 1 in (0, 1).  On [0, s] the marginal rises to an interior
-# maximum at u = s/2 (m' = H p (u^(p-1) - (s-u)^(p-1)) changes sign there)
-# and is decreasing past s, so
-#     sup m = m(s/2) = 2H (s/2)^p     if t >= s/2,
-#     sup m = m(t)                    otherwise (m increasing on [0, s/2]).
-# This analytic bound drives a uniform-proposal rejection step for u.
-#
-# Given u, the conditional density of v is proportional to |u - v|^(p-1)
-# on [0, s]; its CDF is an explicit piecewise power function, inverted in
-# closed form below.
-
-
-def _u_marginal(t: float, s: float, hurst: float, u: np.ndarray) -> np.ndarray:
-    p = 2.0 * hurst - 1.0
-    u = np.asarray(u, dtype=float)
-    out = np.where(
-        u < s,
-        u**p + np.maximum(s - u, 0.0) ** p,
-        np.maximum(u, s) ** p - np.maximum(u - s, 0.0) ** p,
-    )
-    return hurst * out
-
-
-def _u_marginal_sup(t: float, s: float, hurst: float) -> float:
-    p = 2.0 * hurst - 1.0
-    if t >= 0.5 * s:
-        return 2.0 * hurst * (0.5 * s) ** p
-    return float(_u_marginal(t, s, hurst, np.asarray(t)))
-
-
-def _conditional_v(s: float, hurst: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the density ~ |u-v|^(2H-2) on [0, s], given u."""
-    p = 2.0 * hurst - 1.0
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    left = u**p
-    right = np.where(u <= s, (s - np.minimum(u, s)) ** p, 0.0)
-    total = np.where(u <= s, left + right, left - np.abs(u - s) ** p)
-    target = w * total
-    below = target <= left
-    # below the diagonal: v = u - (u^p - T)^(1/p); above: v = u + (T - u^p)^(1/p)
-    v_lo = u - np.maximum(left - target, 0.0) ** (1.0 / p)
-    v_hi = u + np.maximum(target - left, 0.0) ** (1.0 / p)
-    v = np.where(below, v_lo, v_hi)
-    return np.clip(v, 0.0, s)
+# eta depends on (u, v) only through the gap delta = u - v, so the law
+# factors as delta with density ~ |delta|^(p-1) L(delta) on (-s, t),
+# p = 2H - 1 in (0, 1), times u uniform on the L(delta)-long interval
+# [max(0, delta), min(t, s + delta)] of u's compatible with delta.
+# delta is drawn by rejection from the proposal ~ |delta|^(p-1) on
+# (-s, t), whose CDF is a power: W ~ U(-s^p, t^p) gives
+# delta = sign(W) |W|^(1/p), one power per candidate.  A candidate is
+# accepted with probability L(delta) / min(t, s), through a uniform
+# A ~ U(0, min(t, s)) and the test A < L(delta); given acceptance A is
+# uniform on (0, L(delta)), so u = max(0, delta) + A.  The acceptance
+# rate is the integral of |u - v|^(p-1) over the rectangle, C / (H p),
+# over the proposal's mass (t^p + s^p) / p times min(t, s):
+#     2 C / ((p + 1) min(t, s) (t^p + s^p)),
+# which lies in [1/2, 1] for every t, s and H (1/(p + 1) at t = s).
 
 
 def sample_eta_tilted(
@@ -173,26 +142,27 @@ def sample_eta_tilted(
     """
     if t <= 0 or s <= 0:
         raise DomainError(f"horizons must be positive, got t={t} s={s}")
-    if size == 0:
-        return np.empty((0, 2))
-    sup = _u_marginal_sup(t, s, kernel.hurst) * (1.0 + 1e-12)
-    accepted = np.empty(size)
+    out = np.empty((size, 2))
+    p = 2.0 * kernel.hurst - 1.0
+    tp, sp, width = t**p, s**p, min(t, s)
+    rate = 2.0 * kernel.mass(t, s) / ((p + 1.0) * width * (tp + sp))
     got = 0
     for _ in range(_REJECTION_CAP):
         need = size - got
         if need == 0:
-            break
-        batch = max(16, int(1.5 * need))
-        cand = rng.uniform(0.0, t, size=batch)
-        keep = rng.uniform(0.0, sup, size=batch) < _u_marginal(t, s, kernel.hurst, cand)
-        kept = cand[keep][:need]
-        accepted[got : got + kept.size] = kept
-        got += kept.size
-    else:
-        raise NumericError("rejection sampler failed to accept within the cap")
-    u = accepted
-    v = _conditional_v(s, kernel.hurst, u, rng.uniform(0.0, 1.0, size=size))
-    out = np.empty((size, 2))
-    out[:, 0] = t - u
-    out[:, 1] = s - v
-    return out
+            return out
+        # at least two standard deviations of the accepted count to spare,
+        # so one batch almost always suffices
+        batch = int(need / rate + 3.0 * math.sqrt(need)) + 16
+        delta = rng.uniform(-sp, tp, size=batch)
+        u = rng.uniform(0.0, width, size=batch)
+        np.copysign(np.abs(delta) ** (1.0 / p), delta, out=delta)
+        u += np.maximum(delta, 0.0)
+        v = u - delta
+        # u < min(t, s + delta), so (t - u, s - v) lies in the rectangle
+        keep = (u < t) & (v < s)
+        kept = min(need, int(np.count_nonzero(keep)))
+        np.subtract(t, u[keep][:kept], out=out[got : got + kept, 0])
+        np.subtract(s, v[keep][:kept], out=out[got : got + kept, 1])
+        got += kept
+    raise NumericError("rejection sampler failed to accept within the cap")

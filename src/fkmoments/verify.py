@@ -5,7 +5,9 @@ a fixed threshold, so the suites are deterministic and CI-safe.
 Statistical significance levels are fixed at 1e-3.  The Poisson law is
 checked on the engine's own count table as well as on drawn points, and
 the integral identity runs the replicate engine itself, so it checks the
-engine's per-order bookkeeping against exact hypercube integrals.
+engine's per-order bookkeeping against exact hypercube integrals.  The
+white limit checks the fractional estimator against the white-noise one
+as H -> 1/2, where eta tends to the diagonal delta.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos_oracle import QueryPoint, inner_product_closed_form
-from .kernels import Constant, HeatKernel, TemporalKernel, ZeroKernel
+from .kernels import Constant, HeatKernel, PoissonKernel, TemporalKernel, ZeroKernel
 from .mc_engine import (
     _STREAM_FRACTIONAL,
     BATCHES,
@@ -30,7 +32,7 @@ from .mc_engine import (
     estimate_second_moment_fractional,
     estimate_second_moment_white,
 )
-from .point_process import UNIFORM, poisson_count_table
+from .point_process import TEMPORAL_IMPORTANCE, UNIFORM, poisson_count_table
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -222,12 +224,32 @@ def check_estimator_identities(seed: int = DEFAULT_SEED, replicates: int = 100_0
     return results
 
 
+def check_white_limit(seed: int = DEFAULT_SEED, replicates: int = 1_000_000):
+    """At H = 0.5001 the importance-mode fractional estimator agrees with
+    the white-noise estimator at t = s = 1, x = y = 0, within 4 sigma, for
+    the heat and the Poisson kernel (the heat kernel's series gap there is
+    about 3e-7).  Every estimator runs on its own seed, so the four runs
+    are independent."""
+    q = QueryPoint(t=1.0, s=1.0, x=(0.0,), y=(0.0,))
+    kernel = TemporalKernel(hurst=0.5001)
+    results = []
+    for i, (label, f) in enumerate((("heat", HeatKernel(dim=1)), ("poisson", PoissonKernel(dim=1)))):
+        frac_cfg = EstimatorConfig(replicates=replicates, seed=seed + 2 * i, mode=TEMPORAL_IMPORTANCE)
+        white_cfg = EstimatorConfig(replicates=replicates, seed=seed + 2 * i + 1)
+        frac = estimate_second_moment_fractional(q, kernel, f, Constant(1.0), frac_cfg)
+        white = estimate_second_moment_white(1.0, (0.0,), (0.0,), f, Constant(1.0), white_cfg)
+        z = abs(frac.value - white.value) / math.hypot(frac.stderr, white.stderr)
+        results.append(CheckResult("white-limit", f"fractional-vs-white-{label}", z, 4.0, z <= 4.0))
+    return results
+
+
 SUITES = {
     "poisson-law": lambda seed: check_poisson_law(seed=seed) + check_count_table(seed=seed),
     "conditional-uniformity": check_conditional_uniformity,
     "integral-identity": check_integral_identity,
     "lemma2": check_lemma2,
     "estimator-identities": check_estimator_identities,
+    "white-limit": check_white_limit,
 }
 
 

@@ -292,6 +292,7 @@ class TestVerifyCommand:
             "integral-identity",
             "lemma2",
             "estimator-identities",
+            "white-limit",
         }
         assert all(rec["passed"] for rec in records)
 

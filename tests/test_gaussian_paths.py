@@ -55,6 +55,19 @@ class TestBrownianSampling:
         assert abs(incr[:, 0].var() - 0.4) < 0.02  # 0.5 - 0.1
         assert abs(incr[:, 1].var() - 0.4) < 0.02  # 0.9 - 0.5
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_column_draws_one_normal_per_coordinate(self, dim):
+        # a single time per row consumes exactly the normals of the general
+        # route, standard_normal((m, 1, dim)), and scales them by sqrt(time)
+        times = np.array([[0.0], [0.3], [1.7], [0.0]])
+        rng, twin = make_rng(8), make_rng(8)
+        w = brownian_batch_nd(times, dim, rng)
+        z = twin.standard_normal((4, 1, dim))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert w.shape == (4, 1, dim)
+        assert np.all(w[[0, 3]] == 0.0)
+        assert np.array_equal(w, np.sqrt(times)[:, :, None] * z)
+
     def test_multidimensional_start(self):
         w = brownian_batch_nd(np.tile([0.0, 0.4], (50_000, 1)), 2, make_rng(7))
         assert w.shape == (50_000, 2, 2)

@@ -292,6 +292,31 @@ class TestWhiteEstimator:
             assert count > 0
             assert abs(mean - oracle) <= 3 * stderr
 
+    def test_shared_times_split_one_path_in_two_dimensions(self):
+        # both paths are halves of one 2d-dimensional path; at d = 2 with
+        # x != y a mixed-up split would move the offset term
+        from fkmoments import white_noise_order_term
+
+        heat2 = HeatKernel(dim=2, bandwidth=0.5)
+        x, y = (0.0, 0.2), (0.3, -0.1)
+        cfg = EstimatorConfig(replicates=400_000, seed=56)
+        est = estimate_second_moment_white(0.5, x, y, heat2, CONST1, cfg)
+        for n in (1, 2):
+            oracle = white_noise_order_term(n, 0.5, x, y, heat2, CONST1, 1e-6)
+            mean, stderr, _ = est.per_order[n]
+            assert abs(mean - oracle) <= 3 * stderr
+
+    def test_white_limit_check_registered_and_passes(self):
+        from fkmoments import verify
+
+        assert verify.SUITES["white-limit"] is verify.check_white_limit
+        results = verify.run_suite("white-limit")
+        assert [r.name for r in results] == [
+            "fractional-vs-white-heat",
+            "fractional-vs-white-poisson",
+        ]
+        assert all(r.passed and r.statistic <= 4.0 for r in results)
+
 
 class TestOrderContribution:
     def test_order_zero_exact(self):

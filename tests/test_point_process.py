@@ -299,7 +299,8 @@ class TestTemporalImportance:
         assert weight == pytest.approx((K75.mass(0.5, 0.5) / 0.25) ** 3, rel=1e-15)
 
     def test_narrow_horizon_uses_boundary_sup(self):
-        # t < s/2 takes the m(t) envelope branch of the rejection bound
+        # t << s: a gap proposal is thinned only within t of either end of
+        # (-s, t), so nearly every proposal is accepted
         t, s = 0.05, 1.0
         k = TemporalKernel(0.65)
         rng = make_rng(26)
@@ -311,6 +312,40 @@ class TestTemporalImportance:
         vals = inv * k.mass(t, s) / (t * s)
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3 * stderr
+
+
+class TestTiltedCellLaw:
+    """The tilted sampler's exact law: chi-square over a grid of cells in
+    (u, v) = (t - tau, s - rho), whose probabilities follow from the mass
+    of eta over rectangles [0, a] x [0, b] by inclusion-exclusion."""
+
+    GRID = 8
+
+    @pytest.mark.parametrize(
+        "t, s, hurst",
+        [(1.0, 1.0, 0.75), (0.9, 0.6, 0.65), (0.05, 1.0, 0.65), (1.0, 0.3, 0.95), (0.5, 0.5, 0.51)],
+    )
+    def test_cell_frequencies(self, t, s, hurst):
+        k = TemporalKernel(hurst)
+        n = 200_000
+        pts = sample_eta_tilted(t, s, k, n, make_rng(40))
+        a = np.linspace(0.0, t, self.GRID + 1)
+        b = np.linspace(0.0, s, self.GRID + 1)
+        observed, _, _ = np.histogram2d(t - pts[:, 0], s - pts[:, 1], bins=(a, b))
+        corner = np.array([[k.mass(ai, bj) for bj in b] for ai in a])
+        prob = (corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]) / k.mass(t, s)
+        expected = n * prob
+        assert observed.sum() == n and expected.min() >= 5.0
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert stats.chi2.sf(chi2, df=observed.size - 1) > ALPHA
+
+    @pytest.mark.parametrize("hurst", [0.5001, 0.9999])
+    @pytest.mark.parametrize("t, s", [(1.0, 1.0), (0.05, 1.0), (1.0, 0.3), (2.5, 0.7)])
+    def test_extreme_hurst_points_finite_and_inside(self, t, s, hurst):
+        pts = sample_eta_tilted(t, s, TemporalKernel(hurst), 50_000, make_rng(41))
+        assert pts.shape == (50_000, 2) and np.all(np.isfinite(pts))
+        assert np.all((pts[:, 0] >= 0.0) & (pts[:, 0] <= t))
+        assert np.all((pts[:, 1] >= 0.0) & (pts[:, 1] <= s))
 
 
 class TestLinearJumpTimes:
