@@ -74,14 +74,11 @@ MAX_ORDER = 3
 # fourteen of 128 KB) outgrow a 2 MB L2 cache.
 _BLOCK = 16384
 
-# (depth_u, depth_r) refinement ladders per chaos order; deeper tensor
-# grids for higher n are not affordable, which the scale-floor tolerance
-# accounts for.
-_PAIR_LEVELS = {
-    1: [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (8, 8), (10, 10), (12, 12)],
-    2: [(1, 1), (2, 2), (3, 3), (4, 4)],
-    3: [(0, 0), (1, 0), (1, 1)],
-}
+# pair-rule orders q, one ladder for every chaos order.  Orders 2 and 3
+# converge only like q^-2 (their integrands have min-kinks between nodes),
+# so consecutive rungs differ by a factor of at least 4/3: closer rungs
+# differ by less than the error they leave.
+_PAIR_LEVELS = [8, 12, 16, 24, 32]
 
 _SIMPLEX_LEVELS = [8, 12, 16, 24, 32, 48]
 
@@ -409,11 +406,11 @@ def alpha_n_quadrature(
     scale_floor: float = 0.0,
     trace: list | None = None,
 ) -> float:
-    """Chaos coefficient a_n by singularity-graded tensor quadrature.
+    """Chaos coefficient a_n by tensor quadrature over gap-position pair rules.
 
-    Refines the pair-rule ladder until two successive values differ by at
+    Refines the pair-rule order q until two successive values differ by at
     most ``tol`` times max(|value|, ``scale_floor``) (:func:`_certify`); a
-    ``trace`` entry is (depth_u, depth_r, m, value, |delta|, tol * scale).
+    ``trace`` entry is (q, m, value, |delta|, tol * scale).
     """
     require_integer("order", n)
     if not 1 <= n <= MAX_ORDER:
@@ -434,12 +431,13 @@ def alpha_n_quadrature(
     h = f.bandwidth
     d = q.dim
 
-    def rung(depth_u, depth_r):
-        u, v, w = eta_pair_rule(k.hurst, t, s, depth_u, depth_r)
+    def rung(order):
+        u, v, w = eta_pair_rule(k.hurst, t, s, order)
         # elapsed times seen by the inner product are (t - u, s - v)
         return w.size, c2 * _contract_gaussian(t - u, s - v, w, n, h, d, off2)
 
-    return _certify(f"order-{n}", _PAIR_LEVELS[n], rung, tol, scale_floor, trace)
+    levels = [(order,) for order in _PAIR_LEVELS]
+    return _certify(f"order-{n}", levels, rung, tol, scale_floor, trace)
 
 
 def second_moment_series(

@@ -7,17 +7,15 @@ Pair rules integrate a smooth g against the singular temporal weight,
     int_0^t int_0^s eta(u, v) g(u, v) dv du,
 
 with eta(u, v) = alpha_H |u - v|^(2H - 2).  The exponent 2H - 2 lies in
-(-1, 0), so the diagonal singularity is integrable.  The construction is
-an iterated tensor mesh: the u-axis is partitioned into cells graded
-dyadically toward the kink locations of the weight's u-marginal (u = 0,
-and u = s when s lies inside [0, t]); for every Gauss-Legendre node u_i
-the v-axis is split at the singular point v = u_i and each side is
-covered in the distance coordinate r = |v - u_i| by dyadic cells graded
-toward r = 0.  Cells away from the singularity carry plain order-8
-Gauss-Legendre points with the weight evaluated in place; the innermost
-cell absorbs the power weight r^(2H-2) exactly through order-8
-Gauss-Jacobi points, which removes the truncation error that plain
-grading would leave at the tip.  All weights are positive.
+(-1, 0), so the diagonal singularity is integrable.  The weight depends on
+the gap r = |u - v| alone, so each side of the diagonal is written in the
+gap r and the position p along the gap's diagonal segment, whose length
+L(r) is linear in r except for one kink at r = |t - s|.  The rule is a
+product of q Gauss-Jacobi points in r, which absorb the power weight
+r^(2H-2) exactly on the r-piece that starts at 0, and q Gauss-Legendre
+points in p.  Past the kink, where r^(2H-2) is smooth but its branch
+point may be as close as |t - s|, Gauss-Legendre cells growing
+geometrically away from the kink cover r.  All weights are positive.
 
 Tensor products of one pair rule per coordinate pair discretize the
 2n-dimensional integrals behind the chaos coefficients; the integrands
@@ -40,8 +38,8 @@ of each unit eigenvector and mu_0 = 2^(beta + 1) / (beta + 1) is the
 weight's total mass.  numpy's symmetric eigensolver computes both, so no
 special-function library is needed.
 
-Cells are generated and summed in a fixed deterministic order, so every
-rule is bit-stable across runs.
+Nodes are generated in a fixed deterministic order, so every rule is
+bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -57,10 +55,8 @@ __all__ = [
     "simplex_rule",
 ]
 
-GL_ORDER = 8
-
-# Geometric subdivision caps: enough depth to push graded-cell truncation
-# far below every tolerance used in the package.
+# Geometric subdivision cap: enough cells to cover r from a kink at
+# |t - s| = 1e-18 out to 1 with growth factor 2.
 _MAX_GEOMETRIC_CELLS = 60
 
 
@@ -82,7 +78,7 @@ def _golub_welsch(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre_01(order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = _golub_welsch(order, 0.0)
     return 0.5 * (x + 1.0), 0.5 * w
@@ -99,41 +95,19 @@ def gauss_jacobi_01(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (z + 1.0), w * 0.5 ** (beta + 1.0)
 
 
-def _graded_cells(lo: float, hi: float, depth: int, left: bool, right: bool):
-    """Dyadic cell decomposition of [lo, hi] graded toward chosen ends."""
-    if hi <= lo:
-        return []
-    if left and right:
-        mid = 0.5 * (lo + hi)
-        return _graded_cells(lo, mid, depth, True, False) + _graded_cells(
-            mid, hi, depth, False, True
-        )
-    if not left and not right:
-        return [(lo, hi)]
-    width = hi - lo
-    bounds = [lo + width * 2.0 ** (-k) for k in range(depth + 1, 0, -1)]
-    cells = [(lo, bounds[0])]
-    cells += [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    cells.append((bounds[-1], hi))
-    if right:
-        cells = [(lo + hi - b, lo + hi - a) for (a, b) in reversed(cells)]
-    return cells
-
-
-def _geometric_cells_from(a: float, b: float, max_cells: int = _MAX_GEOMETRIC_CELLS):
+def _geometric_cells_from(a: float, b: float):
     """Cells of [a, b] with widths growing geometrically away from a > 0.
 
     With growth factor 2 each cell's width stays below its distance to the
     origin, so an integrand with a branch point at 0 is analytic on a
     comfortable neighbourhood of every cell.  When doubling would need
-    more than ``max_cells`` cells, the growth factor is raised instead;
-    per-cell accuracy degrades gracefully (the branch point only moves
-    relatively closer) while the node count stays bounded.
+    more than ``_MAX_GEOMETRIC_CELLS`` cells, the growth factor is raised
+    instead; per-cell accuracy degrades gracefully (the branch point only
+    moves relatively closer) while the node count stays bounded.
     """
-    max_cells = min(max_cells, _MAX_GEOMETRIC_CELLS)
     growth = 2.0
-    if a > 0 and b / a > growth**max_cells:
-        growth = (b / a) ** (1.0 / max_cells)
+    if b / a > growth**_MAX_GEOMETRIC_CELLS:
+        growth = (b / a) ** (1.0 / _MAX_GEOMETRIC_CELLS)
     cells = []
     lo = a
     for _ in range(_MAX_GEOMETRIC_CELLS):
@@ -147,78 +121,55 @@ def _geometric_cells_from(a: float, b: float, max_cells: int = _MAX_GEOMETRIC_CE
     return cells
 
 
-def _singular_segment(alpha: float, beta: float, length: float, depth: int):
-    """Nodes/weights for int_0^length alpha r^beta g(r) dr on r in (0, length].
+def _gap_side(alpha: float, beta: float, reach: float, width: float, q: int):
+    """Nodes (r, p) and weights for one side of the diagonal,
 
-    Gauss-Jacobi on the innermost cell [0, length 2^-depth], so the power
-    weight is integrated exactly there, then the ``depth`` dyadic cells
-    out to ``length`` from :func:`_regular_segment`.
+        int_0^reach alpha r^beta int_0^L(r) g(r, p) dp dr,
+        L(r) = min(width, reach - r),
+
+    r being the gap and p the position along the gap's segment.  L kinks
+    at r = reach - width when reach > width.  q Gauss-Jacobi points cover
+    the r-piece from 0 to the kink (or to ``reach``), and q Gauss-Legendre
+    points cover each of :func:`_geometric_cells_from`'s cells past the
+    kink, where r^beta is smooth but its branch point may be close.  Every
+    r carries q Gauss-Legendre points in p.
     """
-    if length <= 0.0:
-        return np.empty(0), np.empty(0)
-    gjx, gjw = gauss_jacobi_01(GL_ORDER, beta)
-    tip = length * 2.0 ** (-depth)
-    r, w = _regular_segment(alpha, beta, tip, length, depth)
-    return (
-        np.concatenate([tip * gjx, r]),
-        np.concatenate([alpha * tip ** (beta + 1.0) * gjw, w]),
-    )
-
-
-def _regular_segment(
-    alpha: float, beta: float, r_lo: float, r_hi: float, max_cells: int
-):
-    """Nodes/weights for int alpha r^beta g(r) dr with 0 < r_lo <= r_hi,
-    Gauss-Legendre order 8 on :func:`_geometric_cells_from`'s cells
-    (none, so empty arrays, when r_lo = r_hi or ``max_cells`` is 0)."""
-    glx, glw = gauss_legendre_01()
-    nodes = [np.empty(0)]
-    weights = [np.empty(0)]
-    for lo, hi in _geometric_cells_from(r_lo, r_hi, max_cells):
-        r = lo + (hi - lo) * glx
-        nodes.append(r)
-        weights.append(alpha * (hi - lo) * glw * r**beta)
-    return np.concatenate(nodes), np.concatenate(weights)
+    glx, glw = gauss_legendre_01(q)
+    gjx, gjw = gauss_jacobi_01(q, beta)
+    kink = reach - width
+    if kink <= 0.0:
+        kink, cells = reach, []
+    else:
+        cells = _geometric_cells_from(kink, reach)
+    r, wr = [kink * gjx], [alpha * kink ** (beta + 1.0) * gjw]
+    for lo, hi in cells:
+        cell = lo + (hi - lo) * glx
+        r.append(cell)
+        wr.append(alpha * (hi - lo) * glw * cell**beta)
+    r, wr = np.concatenate(r), np.concatenate(wr)
+    length = np.minimum(width, reach - r)
+    p = np.outer(length, glx).ravel()
+    return np.repeat(r, q), p, np.outer(wr * length, glw).ravel()
 
 
 def eta_pair_rule(
-    hurst: float, t: float, s: float, depth_u: int, depth_r: int
+    hurst: float, t: float, s: float, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive quadrature rule (u_i, v_i, w_i) absorbing the eta weight.
 
     sum_i w_i g(u_i, v_i) approximates int_0^t int_0^s eta(u, v) g dv du
-    for smooth g.  ``depth_u`` controls grading of the u-mesh toward its
-    marginal kinks, ``depth_r`` the grading toward the diagonal.
+    for smooth g: a product rule of order ``q`` in the gap r = |u - v|
+    and the position along each gap's diagonal segment, on each side of
+    the diagonal (:func:`_gap_side`).  It has 2 q^2 nodes at t = s.
     """
     alpha = hurst * (2.0 * hurst - 1.0)
     beta = 2.0 * hurst - 2.0
-    glx, glw = gauss_legendre_01()
-    m = min(s, t)
-    u_cells = _graded_cells(0.0, m, depth_u, left=True, right=(s <= t))
-    if t > s:
-        u_cells += _graded_cells(s, t, depth_u, left=True, right=False)
-    us, vs, ws = [], [], []
-    for lo, hi in u_cells:
-        u_nodes = lo + (hi - lo) * glx
-        u_weights = (hi - lo) * glw
-        for u, wu in zip(u_nodes, u_weights):
-            if u <= s:
-                segs = [
-                    _singular_segment(alpha, beta, u, depth_r),  # v = u - r
-                    _singular_segment(alpha, beta, s - u, depth_r),  # v = u + r
-                ]
-                signs = (-1.0, 1.0)
-            else:
-                segs = [_regular_segment(alpha, beta, u - s, u, depth_r + 6)]
-                signs = (-1.0,)
-            for (r, wr), sign in zip(segs, signs):
-                if r.size == 0:
-                    continue
-                v = np.clip(u + sign * r, 0.0, s)
-                us.append(np.full(r.size, u))
-                vs.append(v)
-                ws.append(wu * wr)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    # u > v: v = p and u = v + r; then v > u: u = p and v = u + r
+    r1, p1, w1 = _gap_side(alpha, beta, t, s, q)
+    r2, p2, w2 = _gap_side(alpha, beta, s, t, q)
+    u = np.clip(np.concatenate([p1 + r1, p2]), 0.0, t)
+    v = np.clip(np.concatenate([p1, p2 + r2]), 0.0, s)
+    return u, v, np.concatenate([w1, w2])
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_a4_eta_mass_quadrature():
     for hurst in (0.55, 0.75, 0.9):
         kernel = TemporalKernel(hurst)
         for t, s in ((1.0, 1.0), (1.0, 0.5), (0.3, 0.7)):
-            diff = abs(kernel.mass(t, s) - eta_pair_rule(hurst, t, s, 12, 12)[2].sum())
+            diff = abs(kernel.mass(t, s) - eta_pair_rule(hurst, t, s, 8)[2].sum())
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 5.0

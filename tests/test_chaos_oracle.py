@@ -26,6 +26,7 @@ from fkmoments import (
     white_noise_order_term,
 )
 from fkmoments.chaos_oracle import white_noise_series
+from fkmoments.quadrature import eta_pair_rule
 
 HEAT1 = HeatKernel(dim=1, bandwidth=1.0)
 CONST1 = Constant(1.0)
@@ -147,6 +148,57 @@ class TestAlphaQuadrature:
         oracle = alpha1_substitution_oracle(0.6, 0.8, 0.6, 1.0, (0.7,))
         assert quad == pytest.approx(oracle, abs=2e-6)
 
+    @pytest.mark.parametrize(
+        "t, h, exact", [(1.0, 0.3, 0.373148137069), (0.5, 1.0, 0.116307214357)]
+    )
+    def test_alpha1_matches_exact_gap_reduction(self, t, h, exact):
+        # at t = s and x = y the position integral along each gap's segment
+        # is closed form: a_1 = 2 alpha_H int_0^t r^(2H-2)
+        # (sqrt(h + 2t - r) - sqrt(h + r)) / sqrt(2 pi) dr
+        from scipy.integrate import quad
+
+        hurst = 0.75
+        alpha = hurst * (2 * hurst - 1)
+        reduced, _ = quad(
+            lambda r: (math.sqrt(h + 2 * t - r) - math.sqrt(h + r)) / math.sqrt(2 * math.pi),
+            0.0,
+            t,
+            weight="alg",
+            wvar=(2 * hurst - 2, 0.0),
+            epsabs=1e-15,
+            epsrel=1e-14,
+        )
+        reduced *= 2 * alpha
+        assert reduced == pytest.approx(exact, abs=1e-12)
+        q = QueryPoint(t=t, s=t, x=(0.0,), y=(0.0,))
+        f = HeatKernel(dim=1, bandwidth=h)
+        value = alpha_n_quadrature(1, q, TemporalKernel(hurst), f, CONST1, 1e-10)
+        assert abs(value - reduced) <= 1e-12
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.95])
+    @pytest.mark.parametrize("s", [0.4999, 0.5 - 1e-8])
+    def test_near_equal_unequal_times(self, hurst, s):
+        # t - s is so small that the cells past the kink r = t - s of the
+        # u > v side crowd toward the diagonal.  a_n grows with t and s, so
+        # a_n(s, s) <= a_n(t, s) <= a_n(t, t) up to tol * scale.  At
+        # s = t - 1e-8 the bracket is far narrower than tol, so the value
+        # matches the t = s one
+        t, tol = 0.5, 1e-5
+        k = TemporalKernel(hurst)
+        for n in (1, 2):
+            trace = []
+            value = alpha_n_quadrature(
+                n, QueryPoint(t=t, s=s, x=(0.0,), y=(0.0,)), k, HEAT1, CONST1, tol, 1.0, trace
+            )
+            bound = trace[-1][-1]
+            low, high = (
+                alpha_n_quadrature(n, QueryPoint(t=r, s=r, x=(0.0,), y=(0.0,)), k, HEAT1, CONST1, tol, 1.0)
+                for r in (s, t)
+            )
+            assert low - bound <= value <= high + bound
+            weights = eta_pair_rule(hurst, t, s, trace[-1][0])[2]
+            assert abs(weights.sum() - k.mass(t, s)) <= 1e-13
+
     def test_zero_kernel_is_exactly_zero(self):
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         k = TemporalKernel(0.75)
@@ -191,15 +243,14 @@ class TestAlphaQuadrature:
     def test_monotone_refinement(self):
         # the reported value differs from the next refinement by < tol
         from fkmoments.chaos_oracle import _PAIR_LEVELS, _contract_gaussian
-        from fkmoments.quadrature import eta_pair_rule
 
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         k = TemporalKernel(0.75)
         tol = 1e-5
         reported = alpha_n_quadrature(1, q, k, HEAT1, CONST1, tol)
         values = []
-        for depth_u, depth_r in _PAIR_LEVELS[1]:
-            u, v, w = eta_pair_rule(k.hurst, 0.5, 0.5, depth_u, depth_r)
+        for order in _PAIR_LEVELS:
+            u, v, w = eta_pair_rule(k.hurst, 0.5, 0.5, order)
             values.append(_contract_gaussian(0.5 - u, 0.5 - v, w, 1, 1.0, 1, 0.0))
         idx = values.index(reported)
         assert idx + 1 < len(values)
@@ -263,14 +314,14 @@ class TestSecondMomentSeries:
         refinement = a6_series.diagnostics["refinement"]
         assert sorted(refinement) == [1, 2, 3]
         for n, rungs in refinement.items():
-            assert [r[:2] for r in rungs] == _PAIR_LEVELS[n][: len(rungs)]
-            assert rungs[0][4] is None
+            assert [r[0] for r in rungs] == _PAIR_LEVELS[: len(rungs)]
+            assert rungs[0][3] is None
             # every rung but the last was rejected, the last accepted
-            assert all(r[4] > r[5] for r in rungs[1:-1])
-            assert rungs[-1][4] <= rungs[-1][5]
-            assert rungs[-1][3] / math.factorial(n) == a6_series.order_terms[n - 1]
-        # order 3 is accepted on its second rung, (1, 0), with m = 768
-        assert [r[:3] for r in refinement[3]] == [(0, 0, 512), (1, 0, 768)]
+            assert all(r[3] > r[4] for r in rungs[1:-1])
+            assert rungs[-1][3] <= rungs[-1][4]
+            assert rungs[-1][2] / math.factorial(n) == a6_series.order_terms[n - 1]
+        # order 3 is accepted on its second rung, q = 12, with m = 288
+        assert [r[:2] for r in refinement[3]] == [(8, 128), (12, 288)]
 
 
 class TestWhiteNoiseOrderTerm:

@@ -70,7 +70,7 @@ class TestTemporalKernel:
 
         t, s = ts
         closed = TemporalKernel(hurst).mass(t, s)
-        quad = eta_pair_rule(hurst, t, s, 12, 12)[2].sum()
+        quad = eta_pair_rule(hurst, t, s, 8)[2].sum()
         assert abs(closed - quad) < 1e-6
 
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkmoments import chaos_oracle
+from fkmoments import TemporalKernel, chaos_oracle
 from fkmoments.chaos_oracle import _contract_gaussian
 from fkmoments.gaussian_paths import gaussian_product_expectation_batch
 from fkmoments.quadrature import (
-    GL_ORDER,
     eta_pair_rule,
     gauss_jacobi_01,
     gauss_legendre_01,
@@ -38,7 +37,7 @@ def dense_ordered_sum(a, b, w, n, h, d, off2):
 
 class TestNodes:
     def test_legendre_integrates_polynomials(self):
-        x, w = gauss_legendre_01()
+        x, w = gauss_legendre_01(8)
         for k in range(8):
             assert np.dot(w, x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
@@ -50,8 +49,9 @@ class TestNodes:
             assert np.dot(w, x**k) == pytest.approx(1.0 / (beta + k + 1), rel=1e-12)
 
 
-# every Gauss-Legendre order the package builds
-_LEGENDRE_ORDERS = sorted({GL_ORDER, *chaos_oracle._SIMPLEX_LEVELS})
+# every Gauss-Legendre order the package builds; Gauss-Jacobi rules are
+# built at the pair-rule orders only
+_LEGENDRE_ORDERS = sorted({*chaos_oracle._PAIR_LEVELS, *chaos_oracle._SIMPLEX_LEVELS})
 # the H -> 1 and H -> 1/2 edges and the middle of beta = 2H - 2
 _JACOBI_BETAS = [-0.98, -0.5, -0.02]
 
@@ -64,9 +64,10 @@ class TestGolubWelsch:
             assert np.dot(w, x**k) == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
     @pytest.mark.parametrize("beta", _JACOBI_BETAS)
-    def test_jacobi_exact_to_degree_2n_minus_1(self, beta):
-        x, w = gauss_jacobi_01(GL_ORDER, beta)
-        for k in range(2 * GL_ORDER):
+    @pytest.mark.parametrize("order", chaos_oracle._PAIR_LEVELS)
+    def test_jacobi_exact_to_degree_2n_minus_1(self, order, beta):
+        x, w = gauss_jacobi_01(order, beta)
+        for k in range(2 * order):
             assert np.dot(w, x**k) == pytest.approx(1.0 / (beta + k + 1), rel=1e-13)
 
     @pytest.mark.parametrize("order", _LEGENDRE_ORDERS)
@@ -82,25 +83,28 @@ class TestGolubWelsch:
     def test_jacobi_matches_scipy(self, beta):
         from scipy.special import roots_jacobi
 
-        z, wz = roots_jacobi(GL_ORDER, 0.0, beta)
-        x, w = gauss_jacobi_01(GL_ORDER, beta)
+        # at order >= 16 and beta = -0.98 scipy's weights leave Golub-Welsch's
+        # by 1.2-1.6e-11 relative, while the latter's moments stay exact
+        z, wz = roots_jacobi(8, 0.0, beta)
+        x, w = gauss_jacobi_01(8, beta)
         np.testing.assert_allclose(x, 0.5 * (z + 1.0), rtol=0, atol=1e-14)
         np.testing.assert_allclose(w, wz * 0.5 ** (beta + 1.0), rtol=5e-12, atol=0)
 
 
 class TestPairRule:
-    def test_weights_positive_and_nodes_in_domain(self):
-        u, v, w = eta_pair_rule(0.65, 0.8, 0.6, 3, 3)
+    # t > s, t < s, and t - s so small that the cells past the kink
+    # r = t - s crowd toward the diagonal
+    @pytest.mark.parametrize("t, s", [(0.8, 0.6), (0.6, 0.8), (0.5, 0.5 - 1e-8)])
+    def test_weights_positive_and_nodes_in_domain(self, t, s):
+        u, v, w = eta_pair_rule(0.65, t, s, 12)
         assert np.all(w > 0)
-        assert np.all((u >= 0) & (u <= 0.8))
-        assert np.all((v >= 0) & (v <= 0.6))
+        assert np.all((u >= 0) & (u <= t))
+        assert np.all((v >= 0) & (v <= s))
         assert np.all(u != v)  # nodes never sit on the singular diagonal
 
     def test_total_weight_matches_closed_form(self):
-        from fkmoments import TemporalKernel
-
         k = TemporalKernel(0.7)
-        u, v, w = eta_pair_rule(0.7, 0.9, 0.4, 10, 10)
+        u, v, w = eta_pair_rule(0.7, 0.9, 0.4, 8)
         assert np.sum(w) == pytest.approx(k.mass(0.9, 0.4), abs=1e-7)
 
     def test_smooth_factor_integration(self):
@@ -109,7 +113,7 @@ class TestPairRule:
         # variable (independent arithmetic, slow convergence but unbiased
         # construction)
         hurst, t, s = 0.8, 1.0, 1.0
-        u, v, w = eta_pair_rule(hurst, t, s, 12, 12)
+        u, v, w = eta_pair_rule(hurst, t, s, 8)
         quad = float(np.dot(w, u))
         # reference: int u * eta = alpha_H int_0^1 u [ ((u)^p + (1-u)^p)/p ] du
         p = 2 * hurst - 1
@@ -153,10 +157,10 @@ class TestSymmetricContraction:
         assert sym == pytest.approx(dense, rel=1e-12)
 
     def test_order3_peak_memory_at_a6(self):
-        # one order-3 contraction on the A6 rung (1, 0): m = 768, about
-        # 295k pairs, so each per-pair array of floats takes 2.4 MB
-        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 1, 0)
-        assert w.size == 768
+        # one order-3 contraction at the A6 query with q = 20: m = 800,
+        # about 320k pairs, so each per-pair array of floats takes 2.6 MB
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 20)
+        assert w.size == 800
         tracemalloc.start()
         try:
             _contract_gaussian(0.5 - u, 0.5 - v, w, 3, 1.0, 1, 0.0)
@@ -166,10 +170,10 @@ class TestSymmetricContraction:
         assert peak < 22e6
 
     def test_order2_peak_memory_on_series2_rung(self):
-        # one order-2 contraction on the rung (2, 2) of a series2 query:
-        # m = 3984, so a table of all m^2 pairs would take more than 60 MB
-        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 2, 2)
-        assert w.size == 3984
+        # one order-2 contraction on the rung q = 32 of a series2 query:
+        # m = 4096, so a table of all m^2 pairs would take more than 60 MB
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 32)
+        assert w.size == 4096
         tracemalloc.start()
         try:
             _contract_gaussian(1.0 - u, 0.6 - v, w, 2, 1.0, 1, 0.09)
@@ -181,7 +185,7 @@ class TestSymmetricContraction:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_fast_path_matches_generic(self, n):
         t = s = 0.5
-        u, v, w = eta_pair_rule(0.75, t, s, 1, 1)
+        u, v, w = eta_pair_rule(0.75, t, s, 24)
         # a thinned rule keeps the dense check cheap at n = 3
         u, v, w = u[::9], v[::9], w[::9]
         dense = dense_ordered_sum(t - u, s - v, w, n, 1.0, 1, 0.3)
@@ -195,7 +199,7 @@ class TestSymmetricContraction:
         # rests of every late row many more.  Blocks of 100: panels group
         # rows wherever their rests are short, and mask the tuples past a
         # row's own rests.  Blocks of m^3: one panel holds every row.
-        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 0, 0)
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 16)
         u, v, w = u[::8], v[::8], w[::8]
         default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
         for block in (7, 100, w.size**3):
@@ -208,7 +212,7 @@ class TestSymmetricContraction:
     def test_node_order_leaves_the_sum_unchanged(self, n, off2):
         # the rule's nodes come in no particular order; shuffled, they give
         # other panels and other masked tuples, and the same sum
-        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 0, 0)
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 16)
         u, v, w = u[::8], v[::8], w[::8]
         perm = np.random.default_rng(5).permutation(w.size)
         default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, 1, off2)
@@ -217,8 +221,8 @@ class TestSymmetricContraction:
 
     def test_order2_contracts_panels_not_single_rows(self, monkeypatch):
         # a per-row loop would make about m + 1 det_qsum_2 calls here
-        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 2, 2)
-        assert w.size == 3984
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 32)
+        assert w.size == 4096
         calls = []
         original = chaos_oracle.det_qsum_2
 
