@@ -1,9 +1,11 @@
 """Brownian path values and the Gaussian linear algebra behind the oracle.
 
 A d-dimensional Brownian path is only ever needed at finitely many times,
-so :func:`brownian_batch_nd` samples a batch of paths exactly: sort each
-row's times, draw independent Gaussian increments with variance equal to
-each gap, cumulatively sum, and restore the original order.
+so :func:`brownian_batch_nd` samples a batch of paths exactly: take each
+row's times in increasing order, draw independent Gaussian increments with
+variance equal to each gap, cumulatively sum, and restore the original
+order.  Rows of three or more times do this with a sort and a scatter;
+rows of one or two times need neither, and give the same bits.
 
 For two independent paths B1 (from x) and B2 (from y) evaluated at times
 (t_j) and (s_j), the differences B1_{t_j} - B2_{s_j} form a Gaussian
@@ -39,13 +41,44 @@ def brownian_batch_nd(
 
     ``times`` has shape (m, k); rows are independent paths evaluated at
     their own k times (any order).  Returns shape (m, k, dim); a time 0
-    gives exactly 0.  A single time per row is its own gap, so k = 1
-    skips the sort and the scatter; it draws the same normals and rounds
-    the same way as the general route.
+    gives exactly 0.  Rows of one or two times take routes without a sort
+    or a scatter (k = 1: the time is its own gap; k = 2: a min/max pair
+    and a masked swap back).  Every route draws ``standard_normal((m, k,
+    dim))`` and rounds exactly as the sorted route does, so the output is
+    bit for bit the same.
     """
     m, k = times.shape
     if k == 1:
         return np.sqrt(times)[:, :, None] * rng.standard_normal((m, 1, dim))
+    if k == 2:
+        return _two_times(times, dim, rng)
+    return _sorted_walk(times, dim, rng)
+
+
+def _two_times(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_sorted_walk` for k = 2.  The stable sort swaps a row only
+    when its second time is strictly earlier, so ties keep their order."""
+    m = len(times)
+    swap = (times[:, 1] < times[:, 0])[:, None]
+    gaps = np.empty((m, 2))
+    np.minimum(times[:, 0], times[:, 1], out=gaps[:, 0])
+    np.maximum(times[:, 0], times[:, 1], out=gaps[:, 1])
+    gaps[:, 1] -= gaps[:, 0]
+    np.sqrt(gaps, out=gaps)
+    walk = rng.standard_normal((m, 2, dim))
+    walk *= gaps[:, :, None]
+    walk[:, 1] += walk[:, 0]
+    first = walk[:, 0].copy()
+    np.copyto(walk[:, 0], walk[:, 1], where=swap)
+    np.copyto(walk[:, 1], first, where=swap)
+    return walk
+
+
+def _sorted_walk(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The general route: sort each row's times, draw independent Gaussian
+    increments with variance equal to each gap, cumulatively sum, and
+    restore the caller's order."""
+    m, k = times.shape
     order = np.argsort(times, axis=1, kind="stable")
     sorted_times = np.take_along_axis(times, order, axis=1)
     # the first gap is the first time; np.diff with prepend=0.0 gives the

@@ -379,7 +379,16 @@ def _variance_warning(k: TemporalKernel, f, mode: str):
 
 
 def _value_at_max(paths: np.ndarray, times: np.ndarray, start: np.ndarray):
-    """Path position at each row's latest time, plus that time."""
+    """Path position at each row's latest time, plus that time.  Ties go to
+    the first such column, as ``argmax`` does; one and two columns are
+    picked without a gather."""
+    k = times.shape[1]
+    if k == 1:
+        return start + paths[:, 0], times[:, 0]
+    if k == 2:
+        later = times[:, 1] > times[:, 0]
+        pos = start + np.where(later[:, None], paths[:, 1], paths[:, 0])
+        return pos, np.where(later, times[:, 1], times[:, 0])
     idx = np.argmax(times, axis=1)
     pos = start[None, :] + np.take_along_axis(paths, idx[:, None, None], axis=1).squeeze(axis=1)
     t_star = np.take_along_axis(times, idx[:, None], axis=1)[:, 0]
@@ -412,7 +421,7 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
     points each, whose elapsed times and temporal weight come from
     ``points(g, kk, rng)``.  When the point law gives both paths the same
     times (``rhos is taus``), the two paths are the two halves of one
-    2d-dimensional path, drawn with one sort.  The values leave out the
+    2d-dimensional path, drawn in one call.  The values leave out the
     w-product wfac = c*c when u0 is the constant c; otherwise wfac is None.
     """
     d = x.shape[0]

@@ -125,6 +125,8 @@ def fixed_count_table(n: int):
 # over the proposal's mass (t^p + s^p) / p times min(t, s):
 #     2 C / ((p + 1) min(t, s) (t^p + s^p)),
 # which lies in [1/2, 1] for every t, s and H (1/(p + 1) at t = s).
+# Each candidate batch is worked in place, and the accepted candidates
+# are gathered once, by index: the first ``need`` of them in draw order.
 
 
 def sample_eta_tilted(
@@ -156,13 +158,19 @@ def sample_eta_tilted(
         batch = int(need / rate + 3.0 * math.sqrt(need)) + 16
         delta = rng.uniform(-sp, tp, size=batch)
         u = rng.uniform(0.0, width, size=batch)
-        np.copysign(np.abs(delta) ** (1.0 / p), delta, out=delta)
-        u += np.maximum(delta, 0.0)
-        v = u - delta
+        # one scratch buffer holds |delta|^(1/p), then max(delta, 0), then v
+        buf = np.abs(delta)
+        buf **= 1.0 / p
+        np.copysign(buf, delta, out=delta)
+        np.maximum(delta, 0.0, out=buf)
+        u += buf
+        v = np.subtract(u, delta, out=buf)
         # u < min(t, s + delta), so (t - u, s - v) lies in the rectangle
-        keep = (u < t) & (v < s)
-        kept = min(need, int(np.count_nonzero(keep)))
-        np.subtract(t, u[keep][:kept], out=out[got : got + kept, 0])
-        np.subtract(s, v[keep][:kept], out=out[got : got + kept, 1])
+        keep = u < t
+        keep &= v < s
+        idx = np.flatnonzero(keep)[:need]
+        kept = len(idx)
+        np.subtract(t, u[idx], out=out[got : got + kept, 0])
+        np.subtract(s, v[idx], out=out[got : got + kept, 1])
         got += kept
     raise NumericError("rejection sampler failed to accept within the cap")

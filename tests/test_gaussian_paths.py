@@ -14,6 +14,7 @@ from fkmoments import (
     inner_product_closed_form,
 )
 from fkmoments.gaussian_paths import (
+    _sorted_walk,
     block_det,
     brownian_batch_nd,
     det_qsum_3,
@@ -67,6 +68,30 @@ class TestBrownianSampling:
         assert w.shape == (4, 1, dim)
         assert np.all(w[[0, 3]] == 0.0)
         assert np.array_equal(w, np.sqrt(times)[:, :, None] * z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 200),
+        dim=st.integers(1, 3),
+        tie_share=st.sampled_from([0.0, 0.2, 1.0]),
+        zero_share=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_columns_match_sorted_route_bitwise(self, m, dim, tie_share, zero_share, seed):
+        # the two-column route is the sorted route without the sort: same
+        # normals, same roundings, ties kept in order, zeros exactly zero
+        pick = make_rng(seed)
+        times = pick.uniform(0.0, 2.0, size=(m, 2))
+        tied = pick.random(m) < tie_share
+        times[tied, 1] = times[tied, 0]
+        zeroed = pick.random((m, 2)) < zero_share
+        times[zeroed] = 0.0
+        rng, twin = make_rng(seed), make_rng(seed)
+        fast = brownian_batch_nd(times, dim, rng)
+        ref = _sorted_walk(times, dim, twin)
+        assert fast.shape == ref.shape == (m, 2, dim)
+        assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_multidimensional_start(self):
         w = brownian_batch_nd(np.tile([0.0, 0.4], (50_000, 1)), 2, make_rng(7))

@@ -457,6 +457,28 @@ def _dense_reference(v, counts, scale, wfac, batch_count):
     }
 
 
+class TestValueAtMax:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_argmax_gather_with_ties(self, k, dim):
+        # the one- and two-column picks must agree bit for bit with the
+        # argmax gather, whose ties go to the first latest column
+        rng = np.random.default_rng(100 + 10 * k + dim)
+        m = 3000
+        times = rng.choice([0.0, 0.25, 0.5, 0.7], size=(m, k))
+        paths = rng.standard_normal((m, k, dim))
+        paths[rng.random((m, k)) < 0.1] = -0.0
+        start = rng.uniform(-1.0, 1.0, size=dim)
+        pos, t_star = mc_engine._value_at_max(paths, times, start)
+        idx = np.argmax(times, axis=1)
+        ref_pos = start[None, :] + np.take_along_axis(paths, idx[:, None, None], axis=1)[:, 0]
+        ref_t = np.take_along_axis(times, idx[:, None], axis=1)[:, 0]
+        if k > 1:
+            assert np.any(times[:, 0] == times.max(axis=1)) and np.any(times[:, 1] == times[:, 0])
+        assert np.array_equal(pos.view(np.int64), ref_pos.view(np.int64))
+        assert np.array_equal(t_star.view(np.int64), ref_t.view(np.int64))
+
+
 class TestStreamingSummary:
     """The slice summaries, merged, against a reduction of the dense values."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -312,6 +313,28 @@ class TestTemporalImportance:
         vals = inv * k.mass(t, s) / (t * s)
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3 * stderr
+
+
+class TestTiltedSamplerDigests:
+    """Bit-level pins of the tilted sampler's output: any change to its
+    candidate batches, its random draws or its arithmetic shows here.  The
+    digests come from numpy 2.4 on x86-64 with AVX-512; numpy's vectorised
+    power may round differently on other CPUs."""
+
+    @pytest.mark.parametrize(
+        "t, s, hurst, size, seed, digest",
+        [
+            (0.5, 0.5, 0.75, 1000, 1, "c444d1bc70341ae0251b8451faf60d649765260ca5cd9f1dc8c81a1b0b59c396"),
+            (1.0, 0.6, 0.85, 777, 2, "c7e17f65f155acf8f6cf25815d59803a0c10878d49b51fefac42e8315c90a4bf"),
+            (0.3, 2.0, 0.55, 4096, 3, "918f94dced5dd3fa3256de10a118a0d4438450b74187ca0402b6df5c97353657"),
+            (0.7, 0.7, 0.9999, 1, 4, "ae0726a7f058f285cf0f3acf62c4e1857569a2d0947ccf3a75a4dd5b20c3b6e4"),
+            (2.0, 0.01, 0.6, 50, 5, "72457a709b6011346c074d2eab05383593851f251df88ded55e790f5ac7344b0"),
+        ],
+    )
+    def test_output_digest(self, t, s, hurst, size, seed, digest):
+        pts = sample_eta_tilted(t, s, TemporalKernel(hurst), size, make_rng(seed))
+        assert pts.shape == (size, 2)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
 class TestTiltedCellLaw:
