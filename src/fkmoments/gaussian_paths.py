@@ -4,8 +4,10 @@ A d-dimensional Brownian path is only ever needed at finitely many times,
 so :func:`brownian_batch_nd` samples a batch of paths exactly: take each
 row's times in increasing order, draw independent Gaussian increments with
 variance equal to each gap, cumulatively sum, and restore the original
-order.  Rows of three or more times do this with a sort and a scatter;
-rows of one or two times need neither, and give the same bits.
+order.  No route sorts: rows of three or more times place and gather by
+stable ranks from column comparisons, and shorter rows need no ranks.
+Each step loops over rows, one column or coordinate at a time, and gives
+the bits of a stable argsort, cumsum and scatter.
 
 For two independent paths B1 (from x) and B2 (from y) evaluated at times
 (t_j) and (s_j), the differences B1_{t_j} - B2_{s_j} form a Gaussian
@@ -40,56 +42,72 @@ def brownian_batch_nd(
     """Zero-start Brownian values at per-row time vectors.
 
     ``times`` has shape (m, k); rows are independent paths evaluated at
-    their own k times (any order).  Returns shape (m, k, dim); a time 0
-    gives exactly 0.  Rows of one or two times take routes without a sort
-    or a scatter (k = 1: the time is its own gap; k = 2: a min/max pair
-    and a masked swap back).  Every route draws ``standard_normal((m, k,
-    dim))`` and rounds exactly as the sorted route does, so the output is
-    bit for bit the same.
+    their own k times (any order).  Returns shape (m, k, dim), for k >= 3
+    as a transposed view; a time 0 gives exactly 0.  k = 1: the time is its
+    own gap; k = 2: a min/max pair and a masked swap back; k >= 3: the
+    rank route of :func:`_rank_walk`.  Every route draws
+    ``standard_normal((m, k, dim))`` and rounds exactly as a sort, a
+    cumulative sum and a scatter would, so the output is bit for bit
+    theirs.
     """
     m, k = times.shape
     if k == 1:
-        return np.sqrt(times)[:, :, None] * rng.standard_normal((m, 1, dim))
+        walk = rng.standard_normal((m, 1, dim))
+        scale = np.sqrt(times[:, 0])
+        for c in range(dim):
+            walk[:, 0, c] *= scale
+        return walk
     if k == 2:
         return _two_times(times, dim, rng)
-    return _sorted_walk(times, dim, rng)
+    return _rank_walk(times, dim, rng)
 
 
 def _two_times(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`_sorted_walk` for k = 2.  The stable sort swaps a row only
-    when its second time is strictly earlier, so ties keep their order."""
+    """The sorted walk for k = 2.  A stable sort swaps a row only when its
+    second time is strictly earlier, so ties keep their order."""
     m = len(times)
-    swap = (times[:, 1] < times[:, 0])[:, None]
-    gaps = np.empty((m, 2))
-    np.minimum(times[:, 0], times[:, 1], out=gaps[:, 0])
-    np.maximum(times[:, 0], times[:, 1], out=gaps[:, 1])
-    gaps[:, 1] -= gaps[:, 0]
-    np.sqrt(gaps, out=gaps)
+    swap = times[:, 1] < times[:, 0]
+    first = np.minimum(times[:, 0], times[:, 1])
+    second = np.maximum(times[:, 0], times[:, 1])
+    second -= first
+    np.sqrt(first, out=first)
+    np.sqrt(second, out=second)
     walk = rng.standard_normal((m, 2, dim))
-    walk *= gaps[:, :, None]
-    walk[:, 1] += walk[:, 0]
-    first = walk[:, 0].copy()
-    np.copyto(walk[:, 0], walk[:, 1], where=swap)
-    np.copyto(walk[:, 1], first, where=swap)
+    for c in range(dim):
+        lo, hi = walk[:, 0, c], walk[:, 1, c]
+        lo *= first
+        hi *= second
+        hi += lo
+        lo[:], hi[:] = np.where(swap, hi, lo), np.where(swap, lo, hi)
     return walk
 
 
-def _sorted_walk(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The general route: sort each row's times, draw independent Gaussian
-    increments with variance equal to each gap, cumulatively sum, and
-    restore the caller's order."""
+def _rank_walk(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The sorted walk for k >= 3, without a sort.  A column's stable rank
+    counts the earlier times and the equal times in earlier columns.  The
+    times are placed by rank, the normals are scaled by the square roots
+    of the gaps and summed in sorted order, and each column gathers its
+    values back by rank.  The walk is coordinate-major, so every step
+    loops over rows, and it is returned as a transposed view."""
     m, k = times.shape
-    order = np.argsort(times, axis=1, kind="stable")
-    sorted_times = np.take_along_axis(times, order, axis=1)
-    # the first gap is the first time; np.diff with prepend=0.0 gives the
-    # same values but concatenates first, at about 15x the cost
-    gaps = sorted_times.copy()
-    gaps[:, 1:] -= sorted_times[:, :-1]
-    incr = np.sqrt(gaps)[:, :, None] * rng.standard_normal((m, k, dim))
-    walk = np.cumsum(incr, axis=1)
-    out = np.empty_like(walk)
-    np.put_along_axis(out, order[:, :, None], walk, axis=1)
-    return out
+    rank = np.zeros((k, m), dtype=np.intp)
+    for j in range(k):
+        for i in range(j):
+            before = times[:, i] <= times[:, j]
+            rank[j] += before
+            rank[i] += ~before
+    # flat index of each time in a (k, m) layout sorted within rows
+    rank *= m
+    rank += np.arange(m)
+    gaps = np.empty((k, m))
+    gaps.reshape(-1)[rank] = times.T
+    for p in range(k - 1, 0, -1):
+        gaps[p] -= gaps[p - 1]
+    np.sqrt(gaps, out=gaps)
+    walk = np.multiply(rng.standard_normal((m, k, dim)).T, gaps, out=np.empty((dim, k, m)))
+    for p in range(1, k):
+        walk[:, p] += walk[:, p - 1]
+    return np.take(walk.reshape(dim, -1), rank, axis=1).T
 
 
 def det_qsum_2(a, b, c, out=None):

@@ -37,11 +37,20 @@ __all__ = [
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the last (spatial) axis."""
+    """Squared Euclidean norm over the last (spatial) axis.
+
+    Below 8 coordinates the squares are summed column by column, in the
+    order ((x_0^2 + x_1^2) + x_2^2) + ... that numpy's sum also takes there
+    (from 8 on it sums pairwise), so each call loops over the batch."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return x * x
-    return np.sum(x * x, axis=-1)
+    if not 0 < x.shape[-1] < 8:
+        return np.sum(x * x, axis=-1)
+    out = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] * x[..., j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +308,17 @@ class GaussianBump:
                 f"point dimension {d} does not match bump center dimension "
                 f"{self._center_arr.shape[0]}"
             )
-        w = self.width
-        out = (
-            self.amplitude
-            * (w / (w + t)) ** (0.5 * d)
-            * np.exp(-_sq_norm(x - self._center_arr) / (2.0 * (w + t)))
-        )
-        return out if np.ndim(out) else float(out)
+        # amplitude (w / (w + t))^(d/2) exp(-r2 / (2 (w + t))), mostly in
+        # place; -r2 / c as r2 / -c and the factors' order keep the bits
+        wt = self.width + t
+        scale = self.width / wt
+        scale **= 0.5 * d
+        scale *= self.amplitude
+        r2 = _sq_norm(x - self._center_arr)
+        out = np.divide(r2, -2.0 * wt, out=np.empty(np.broadcast_shapes(r2.shape, wt.shape)))
+        np.exp(out, out=out)
+        out *= scale
+        return out if out.ndim else float(out)
 
 
 def initial_field(u0, t, x):

@@ -378,21 +378,26 @@ def _variance_warning(k: TemporalKernel, f, mode: str):
     return None
 
 
+def _column_product(a: np.ndarray) -> np.ndarray:
+    """np.prod(a, axis=1), column by column: numpy multiplies in this order."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out *= a[:, j]
+    return out
+
+
 def _value_at_max(paths: np.ndarray, times: np.ndarray, start: np.ndarray):
     """Path position at each row's latest time, plus that time.  Ties go to
-    the first such column, as ``argmax`` does; one and two columns are
-    picked without a gather."""
-    k = times.shape[1]
-    if k == 1:
-        return start + paths[:, 0], times[:, 0]
-    if k == 2:
-        later = times[:, 1] > times[:, 0]
-        pos = start + np.where(later[:, None], paths[:, 1], paths[:, 0])
-        return pos, np.where(later, times[:, 1], times[:, 0])
-    idx = np.argmax(times, axis=1)
-    pos = start[None, :] + np.take_along_axis(paths, idx[:, None, None], axis=1).squeeze(axis=1)
-    t_star = np.take_along_axis(times, idx[:, None], axis=1)[:, 0]
-    return pos, t_star
+    the first such column, as ``argmax`` does.  The pick runs column by
+    column on coordinate-major rows, returned as their (g, d) view."""
+    t_star = times[:, 0].copy()
+    pos = paths[:, 0].T.copy()
+    for j in range(1, times.shape[1]):
+        later = times[:, j] > t_star
+        np.copyto(t_star, times[:, j], where=later)
+        np.copyto(pos, paths[:, j].T, where=later)
+    pos += start[:, None]
+    return pos.T, t_star
 
 
 def _fractional_points(t: float, s: float, k: TemporalKernel, mode: str):
@@ -407,7 +412,7 @@ def _fractional_points(t: float, s: float, k: TemporalKernel, mode: str):
             # eta without the diagonal guard: exact hits give inf and are redrawn
             with np.errstate(divide="ignore"):
                 eta = k.alpha_h * np.abs((t - taus) - (s - rhos)) ** (2.0 * k.hurst - 2.0)
-            return taus, rhos, np.prod(eta, axis=1)
+            return taus, rhos, _column_product(eta)
         pts = sample_eta_tilted(t, s, k, g * kk, rng)
         return pts[:, 0].reshape(g, kk), pts[:, 1].reshape(g, kk), eta_const**kk
 
@@ -436,7 +441,11 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
         else:
             w1 = brownian_batch_nd(taus, d, rng)
             w2 = brownian_batch_nd(rhos, d, rng)
-        rest = weight * np.prod(f.values(offset[None, None, :] + w1 - w2), axis=1)
+        # offset + w1 - w2 into coordinate-major memory, so that each numpy
+        # loop, here and in the kernel, runs over rows rather than over d
+        diff = np.add(w1.T, offset[:, None, None], out=np.empty(w1.T.shape))
+        diff -= w2.T
+        rest = weight * _column_product(f.values(diff.T))
         if wfac is None:
             b1_star, tau_star = _value_at_max(w1, taus, x)
             b2_star, rho_star = _value_at_max(w2, rhos, y)

@@ -14,7 +14,6 @@ from fkmoments import (
     inner_product_closed_form,
 )
 from fkmoments.gaussian_paths import (
-    _sorted_walk,
     block_det,
     brownian_batch_nd,
     det_qsum_3,
@@ -24,6 +23,22 @@ from fkmoments.gaussian_paths import (
 
 def make_rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _sorted_walk(times, dim, rng):
+    """The reference walk: sort each row's times, draw independent Gaussian
+    increments with variance equal to each gap, cumulatively sum, and
+    restore the caller's order."""
+    m, k = times.shape
+    order = np.argsort(times, axis=1, kind="stable")
+    sorted_times = np.take_along_axis(times, order, axis=1)
+    gaps = sorted_times.copy()
+    gaps[:, 1:] -= sorted_times[:, :-1]
+    incr = np.sqrt(gaps)[:, :, None] * rng.standard_normal((m, k, dim))
+    walk = np.cumsum(incr, axis=1)
+    out = np.empty_like(walk)
+    np.put_along_axis(out, order[:, :, None], walk, axis=1)
+    return out
 
 
 class TestBrownianSampling:
@@ -69,7 +84,7 @@ class TestBrownianSampling:
         assert np.all(w[[0, 3]] == 0.0)
         assert np.array_equal(w, np.sqrt(times)[:, :, None] * z)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         m=st.integers(1, 200),
         dim=st.integers(1, 3),
@@ -90,6 +105,36 @@ class TestBrownianSampling:
         fast = brownian_batch_nd(times, dim, rng)
         ref = _sorted_walk(times, dim, twin)
         assert fast.shape == ref.shape == (m, 2, dim)
+        assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 200),
+        k=st.integers(3, 8),
+        dim=st.integers(1, 3),
+        tie_share=st.sampled_from([0.0, 0.3, 1.0]),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        shared_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_route_matches_sorted_route_bitwise(
+        self, m, k, dim, tie_share, zero_share, shared_row, seed
+    ):
+        # ranks by column comparisons stand in for the stable sort: same
+        # normals, same roundings, equal times kept in column order; a
+        # shared row is the broadcast view the fixed-time route passes
+        pick = make_rng(seed)
+        times = pick.uniform(0.0, 2.0, size=(m, k))
+        tied = pick.random((m, k)) < tie_share
+        times[tied] = np.broadcast_to(times[:, :1], (m, k))[tied]
+        times[pick.random((m, k)) < zero_share] = 0.0
+        if shared_row:
+            times = np.broadcast_to(times[0], (m, k))
+        rng, twin = make_rng(seed), make_rng(seed)
+        fast = brownian_batch_nd(times, dim, rng)
+        ref = _sorted_walk(times, dim, twin)
+        assert fast.shape == ref.shape == (m, k, dim)
         assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
         assert rng.bit_generator.state == twin.bit_generator.state
 

@@ -1,4 +1,4 @@
-"""Exact pins of three small fixed-seed estimates.
+"""Exact pins of four small fixed-seed estimates.
 
 A change that is meant to leave the estimators' output bit for bit the
 same (a faster sampler, path or reduction) must pass this file unchanged.
@@ -15,6 +15,7 @@ from fkmoments import (
     HeatKernel,
     PoissonKernel,
     QueryPoint,
+    RieszKernel,
     TemporalKernel,
     estimate_second_moment_fractional,
     estimate_second_moment_white,
@@ -72,4 +73,32 @@ def test_white_bump():
         5: (9.600026620620838e-06, 1.2577474689375006e-06, 150),
         6: (6.957236462495678e-07, 2.5980418754958206e-07, 22),
         7: (7.184949920921074e-09, 7.180246956251534e-09, 2),
+    }
+
+
+def test_riesz_bump_uniform_3d():
+    # d = 3 points, rows of K >= 3 times and the redraw count
+    q = QueryPoint(t=0.9, s=0.7, x=(0.0, 0.0, 0.0), y=(0.2, -0.1, 0.0))
+    u0 = GaussianBump(center=(0.1, 0.0, -0.1), width=0.6)
+    cfg = EstimatorConfig(replicates=20_000, seed=20, mode="uniform")
+    est = estimate_second_moment_fractional(
+        q, TemporalKernel(hurst=0.85), RieszKernel(dim=3, order=1.0), u0, cfg
+    )
+    assert est.value == 0.33918964510387895
+    assert est.stderr == 0.03398631052041437
+    assert est.per_order == {
+        0: (0.07839091987313339, 0.0005034612587062094, 10720),
+        1: (0.1104745574542983, 0.0059364107310344374, 6718),
+        2: (0.09799773716852739, 0.026248715387019065, 2051),
+        3: (0.04527307358611947, 0.013210130942133939, 436),
+        4: (0.0043237307501345044, 0.0018300967356967431, 68),
+        5: (0.002729626271665875, 0.0014548844266829633, 7),
+    }
+    assert est.diagnostics == {
+        "max_abs_replicate": 341.0037843127199,
+        "abs_replicate_q999": 27.247714886472,
+        "effective_sample_size": 142.88031015022625,
+        "naive_stderr": 0.028275505636868037,
+        "singular_hits": 0,
+        "variance_warning": None,
     }

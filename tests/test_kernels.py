@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkmoments import (
     Constant,
@@ -16,9 +18,45 @@ from fkmoments import (
     heat_density,
     initial_field,
 )
+from fkmoments.kernels import _sq_norm
 
 RNG = np.random.default_rng(12345)
 NAN = float("nan")
+
+
+def _sum_sq_norm(x):
+    """The reference squared norm: numpy's own sum over the last axis."""
+    x = np.asarray(x, dtype=float)
+    return x * x if x.ndim == 0 else np.sum(x * x, axis=-1)
+
+
+def _bump_field_expression(u0, t, x):
+    """The reference bump field, written as the closed form reads."""
+    t = np.asarray(t, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    w = u0.width
+    center = np.asarray(u0.center)
+    out = (
+        u0.amplitude
+        * (w / (w + t)) ** (0.5 * x.shape[-1])
+        * np.exp(-_sum_sq_norm(x - center) / (2.0 * (w + t)))
+    )
+    return out if np.ndim(out) else float(out)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _spread(rng, shape, zero_share, inf_share):
+    """Normals, a tenth of them scaled over many binades, with shares of
+    signed zeros and infinities."""
+    x = rng.standard_normal(shape)
+    wide = rng.random(shape) < 0.1
+    x[wide] *= np.exp(rng.uniform(-40.0, 40.0, int(wide.sum())))
+    x[rng.random(shape) < zero_share] = -0.0
+    x[rng.random(shape) < inf_share] = -math.inf
+    return x
 
 
 class TestTemporalKernel:
@@ -182,6 +220,57 @@ class TestInitialField:
         u0 = GaussianBump()
         with pytest.raises(DomainError):
             initial_field(u0, -0.1, (0.0,))
+
+
+class TestColumnwiseBitwise:
+    """The column-by-column kernels against numpy's whole-axis forms."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (7,), (300,), (40, 3)]),
+        d=st.integers(1, 8),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        inf_share=st.sampled_from([0.0, 0.05]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sq_norm_matches_numpy_sum(self, lead, d, zero_share, inf_share, fortran, seed):
+        x = _spread(np.random.default_rng(seed), lead + (d,), zero_share, inf_share)
+        if fortran:
+            x = np.asfortranarray(x)
+        assert np.array_equal(_bits(_sq_norm(x)), _bits(_sum_sq_norm(x)))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -3e-170, 2e150, -math.inf])
+    def test_sq_norm_of_a_scalar(self, value):
+        assert _bits(_sq_norm(value)) == _bits(_sum_sq_norm(value))
+        assert _bits(_sq_norm(np.array(value))) == _bits(_sum_sq_norm(value))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(1, 300),
+        t_kind=st.sampled_from(["scalar", "array", "zero"]),
+        one_point=st.booleans(),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bump_field_matches_expression(self, d, n, t_kind, one_point, fortran, seed):
+        rng = np.random.default_rng(seed)
+        u0 = GaussianBump(
+            amplitude=float(rng.uniform(-2.0, 2.0)),
+            center=tuple(rng.normal(size=d)),
+            width=float(rng.uniform(0.05, 3.0)),
+        )
+        x = rng.normal(scale=3.0, size=(d,) if one_point else (n, d))
+        if fortran:
+            x = np.asfortranarray(x)
+        t = {"scalar": float(rng.uniform(0.0, 2.0)), "zero": 0.0}.get(t_kind)
+        if t is None:
+            t = rng.uniform(0.0, 2.0, size=n)
+            t[rng.random(n) < 0.2] = 0.0
+        got, ref = u0.field(t, x), _bump_field_expression(u0, t, x)
+        assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 # NaN passes a check written as "x <= 0 is an error", so each field is

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkmoments import mc_engine
 from fkmoments import (
@@ -457,12 +459,20 @@ def _dense_reference(v, counts, scale, wfac, batch_count):
     }
 
 
+def _argmax_gather(paths, times, start):
+    """The reference pick: argmax, whose ties go to the first latest
+    column, then a gather of that column's path value and time."""
+    idx = np.argmax(times, axis=1)
+    pos = start[None, :] + np.take_along_axis(paths, idx[:, None, None], axis=1)[:, 0]
+    return pos, np.take_along_axis(times, idx[:, None], axis=1)[:, 0]
+
+
 class TestValueAtMax:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_argmax_gather_with_ties(self, k, dim):
-        # the one- and two-column picks must agree bit for bit with the
-        # argmax gather, whose ties go to the first latest column
+        # the column-by-column pick must agree bit for bit with the argmax
+        # gather, whose ties go to the first latest column
         rng = np.random.default_rng(100 + 10 * k + dim)
         m = 3000
         times = rng.choice([0.0, 0.25, 0.5, 0.7], size=(m, k))
@@ -470,13 +480,57 @@ class TestValueAtMax:
         paths[rng.random((m, k)) < 0.1] = -0.0
         start = rng.uniform(-1.0, 1.0, size=dim)
         pos, t_star = mc_engine._value_at_max(paths, times, start)
-        idx = np.argmax(times, axis=1)
-        ref_pos = start[None, :] + np.take_along_axis(paths, idx[:, None, None], axis=1)[:, 0]
-        ref_t = np.take_along_axis(times, idx[:, None], axis=1)[:, 0]
+        ref_pos, ref_t = _argmax_gather(paths, times, start)
         if k > 1:
             assert np.any(times[:, 0] == times.max(axis=1)) and np.any(times[:, 1] == times[:, 0])
         assert np.array_equal(pos.view(np.int64), ref_pos.view(np.int64))
         assert np.array_equal(t_star.view(np.int64), ref_t.view(np.int64))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 300),
+        k=st.integers(1, 6),
+        dim=st.integers(1, 3),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_argmax_gather_with_signed_zeros(self, m, k, dim, zero_share, seed):
+        # times drawn from a few values tie often, and 0.0 ties -0.0; the
+        # path values and the start carry signed zeros too
+        rng = np.random.default_rng(seed)
+        times = rng.choice([0.0, -0.0, 0.25, 0.5], size=(m, k))
+        paths = rng.standard_normal((m, k, dim))
+        paths[rng.random((m, k, dim)) < zero_share] = -0.0
+        paths[rng.random((m, k, dim)) < zero_share] = 0.0
+        start = rng.choice([0.0, -0.0, 0.3], size=dim)
+        pos, t_star = mc_engine._value_at_max(paths, times, start)
+        ref_pos, ref_t = _argmax_gather(paths, times, start)
+        assert pos.shape == ref_pos.shape == (m, dim)
+        assert np.array_equal(pos.view(np.int64), ref_pos.view(np.int64))
+        assert np.array_equal(t_star.view(np.int64), ref_t.view(np.int64))
+
+
+class TestColumnProduct:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.integers(1, 300),
+        k=st.integers(1, 8),
+        special_share=st.sampled_from([0.0, 0.1, 0.5]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_prod(self, g, k, special_share, fortran, seed):
+        # factors over many binades overflow and underflow; 0, -0, inf and
+        # -inf make inf * 0 = nan, whose sign must come out the same too
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((g, k)) * np.exp(rng.uniform(-300.0, 300.0, (g, k)))
+        special = rng.random((g, k)) < special_share
+        a[special] = rng.choice([0.0, -0.0, math.inf, -math.inf], size=int(special.sum()))
+        if fortran:
+            a = np.asfortranarray(a)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got, ref = mc_engine._column_product(a), np.prod(a, axis=1)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestStreamingSummary:
