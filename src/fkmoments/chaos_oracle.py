@@ -18,7 +18,10 @@ One blocked multiset contraction (:func:`_contract_gaussian`) serves
 orders 2 and 3.  It sums panels of consecutive rows, as many as fit one
 block of tuples, so order 2 makes one Python loop turn per panel rather
 than per node.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
-diagonal jitter is added, repeated nodes included.
+diagonal jitter is added, repeated nodes included.  At equal times the
+pair rule is its own mirror image (u and v swapped), which leaves the
+integrand unchanged, so order 3 sums one triple of each mirror pair and
+doubles the sum.
 
 Both series certify convergence on one ladder (:func:`_certify`): each
 order is refined until two successive rungs differ by at most ``tol``
@@ -222,6 +225,11 @@ def _contract_gaussian(
     row i's; rests with k = i are summed for every i in one final pass.
     Each tuple is weighted by its multiplicity n!/prod(counts!).
 
+    At n = 3 a mirrored rule, whose second half is exactly its first with
+    a and b swapped (``eta_pair_rule`` at t = s), gives a triple and its
+    mirror the same summand.  Rests then keep only nodes k < m/2, which
+    picks one triple of each mirror pair, and the sum is doubled.
+
     Rows i are summed in panels: as many consecutive rows as fit one block
     of ``_BLOCK`` tuples against the prefix of the panel's last row, or a
     lone row whose prefix is split into blocks.  Each panel builds its
@@ -229,9 +237,10 @@ def _contract_gaussian(
     past their own prefix get weight 0 (their M is still a valid matrix).
     Blocks run through four preallocated buffers of ``_BLOCK`` floats and
     a panel's Sigma_ij/h has at most max(_BLOCK, m) entries, so at n = 3
-    the per-rest arrays set the peak memory (seven of m (m + 1) / 2, one
-    of them the weights of the pass that runs, and an eighth while they
-    are built), and at n = 2 the buffers and the block's temporaries do.
+    the per-rest arrays set the peak memory (seven of r (r + 1) / 2, r = m
+    or m/2 if mirrored, one of them the weights of the pass that runs, and
+    an eighth while they are built), and at n = 2 the buffers and the
+    block's temporaries do.
     """
     if n == 1:
         vals = gaussian_product_expectation_batch(a[:, None], b[:, None], h, d, off2)
@@ -239,6 +248,12 @@ def _contract_gaussian(
     if n not in (2, 3):
         raise DomainError(f"contraction implemented for n <= {MAX_ORDER}, got {n}")
     m = w.size
+    # the rests' nodes lie below span: m, or m/2 at n = 3 on a mirrored rule
+    half = m // 2
+    mirrored = n == 3 and m == 2 * half and all(
+        np.array_equal(x[:half], y[half:]) for x, y in ((a, b), (b, a), (w, w))
+    )
+    span = half if mirrored else m
     # entries of Sigma/h are sums of minima of a/h and of b/h
     a, b = a / h, b / h
     sigma = a + b
@@ -247,7 +262,7 @@ def _contract_gaussian(
         det_qsum, rest, rest_cols = det_qsum_2, (np.arange(m),), (one,)
         repeats = rest[0]
     else:
-        det_qsum, rest = det_qsum_3, np.tril_indices(m)
+        det_qsum, rest = det_qsum_3, np.tril_indices(span)
         kk, jj = rest
         e = np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])
         p, q = one[jj] - e, one[kk] - e
@@ -307,8 +322,9 @@ def _contract_gaussian(
             # those with k >= i begin
             rows, cut = slice(i0, i1), np.searchsorted(top, np.arange(i0, i1))
             a_i = one[rows, None]
-        pair = np.minimum.outer(a[rows], a[: i1 - 1])
-        pair += np.minimum.outer(b[rows], b[: i1 - 1])
+        stop = min(i1 - 1, span)
+        pair = np.minimum.outer(a[rows], a[:stop])
+        pair += np.minimum.outer(b[rows], b[:stop])
         for pos in range(0, hi, _BLOCK):
             blk = slice(pos, min(pos + _BLOCK, hi))
             shape = (*pair.shape[:-1], blk.stop - pos)
@@ -337,6 +353,8 @@ def _contract_gaussian(
             *(col[blk] for col in rest_cols[: n - 2]),
         )
         total += contract(row, blk, (det, qsum), head_w, 1.0)
+    if mirrored:
+        total *= 2.0
     return float((2.0 * math.pi * h) ** (-0.5 * n * d) * total)
 
 

@@ -8,9 +8,9 @@ shorthand for ``--set`` of one key; ``estimate``, ``oracle`` and
 ``compare`` records echo the fully resolved configuration.
 
 Data records go to stdout (or ``--out``); diagnostics, warnings, wall
-times and ``estimate``'s cost figures go to stderr, so the data stream
-stays parseable.  Records are byte-identical for identical config + seed,
-independent of ``--workers``.
+times, peak memory and ``estimate``'s cost figures go to stderr, so the
+data stream stays parseable.  Records are byte-identical for identical
+config + seed, independent of ``--workers``.
 
 Exit codes: 0 ok, 2 config error, 3 numeric/capability error,
 4 comparison failed or inconclusive, or verification failure.
@@ -210,6 +210,13 @@ def _run_oracle(rc: RunConfig):
     return second_moment_series(q, rc.temporal_kernel(), f, u0, n_max, tol)
 
 
+def _echo_costs(**costs: float) -> None:
+    """One stderr line of cost figures, ending with peak_rss_mb, the
+    process's peak resident memory."""
+    costs["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    click.echo(" ".join(f"{k}={format_real(v)}" for k, v in costs.items()), err=True)
+
+
 def _guarded(body):
     try:
         return body()
@@ -237,14 +244,12 @@ def estimate(**kwargs):
         elapsed = time.perf_counter() - start
         _emit([_estimate_record(rc, est, "estimate")], rc)
         # work_norm_var (stderr^2 x seconds) does not reward cheap, noisy
-        # replicates; peak_rss_mb is the process's peak resident memory
-        costs = {
-            "wall_time_ms": 1000.0 * elapsed,
-            "replicates_per_second": est.replicates_used / elapsed,
-            "work_norm_var": est.stderr * est.stderr * elapsed,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        }
-        click.echo(" ".join(f"{k}={format_real(v)}" for k, v in costs.items()), err=True)
+        # replicates
+        _echo_costs(
+            wall_time_ms=1000.0 * elapsed,
+            replicates_per_second=est.replicates_used / elapsed,
+            work_norm_var=est.stderr * est.stderr * elapsed,
+        )
 
     _guarded(body)
 
@@ -252,7 +257,10 @@ def estimate(**kwargs):
 @main.command()
 @_config_options
 def oracle(**kwargs):
-    """Deterministic chaos-series value of the second moment."""
+    """Deterministic chaos-series value of the second moment.
+
+    Prints wall_time_ms and peak_rss_mb on stderr.
+    """
 
     def body():
         rc = _resolve(**kwargs)
@@ -260,7 +268,7 @@ def oracle(**kwargs):
         series = _run_oracle(rc)
         wall_ms = 1000.0 * (time.perf_counter() - start)
         _emit([_oracle_record(rc, series)], rc)
-        click.echo(f"wall_time_ms={format_real(wall_ms)}", err=True)
+        _echo_costs(wall_time_ms=wall_ms)
 
     _guarded(body)
 

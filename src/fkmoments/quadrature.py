@@ -161,6 +161,8 @@ def eta_pair_rule(
     for smooth g: a product rule of order ``q`` in the gap r = |u - v|
     and the position along each gap's diagonal segment, on each side of
     the diagonal (:func:`_gap_side`).  It has 2 q^2 nodes at t = s.
+    The u > v side comes first; at t == s the second half is the first
+    with u and v swapped, bit for bit, which the order-3 contraction uses.
     """
     alpha = hurst * (2.0 * hurst - 1.0)
     beta = 2.0 * hurst - 2.0

@@ -194,6 +194,16 @@ class TestOracleCommand:
             assert rec[f"order_{n}_m"] == 12**n
         assert list(rec)[3:6] == ["order_1_term", "order_1_m", "order_1_rungs"]
 
+    def test_reports_wall_time_and_peak_memory(self):
+        args = ("oracle", "--set", "oracle.n_max=2", "--set", "oracle.tol=1e-4")
+        result = run_cli(*args)
+        assert result.exit_code == 0
+        fields = [f.split("=") for f in result.stderr.splitlines()[-1].split()]
+        assert [name for name, _ in fields] == ["wall_time_ms", "peak_rss_mb"]
+        assert all(float(value) > 0 for _, value in fields)
+        # the cost figures stay off the data stream
+        assert run_cli(*args).stdout == result.stdout
+
     def test_riesz_capability_error_exits_3(self):
         result = run_cli("oracle", "--set", "kernel.spatial=riesz", "--set", "query.dim=2")
         assert result.exit_code == 3

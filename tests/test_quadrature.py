@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkmoments import TemporalKernel, chaos_oracle
-from fkmoments.chaos_oracle import _contract_gaussian
+from fkmoments.chaos_oracle import _PAIR_LEVELS, _contract_gaussian
 from fkmoments.gaussian_paths import gaussian_product_expectation_batch
 from fkmoments.quadrature import (
     eta_pair_rule,
@@ -102,6 +102,20 @@ class TestPairRule:
         assert np.all((v >= 0) & (v <= s))
         assert np.all(u != v)  # nodes never sit on the singular diagonal
 
+    @pytest.mark.parametrize("q", _PAIR_LEVELS)
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.0])
+    def test_equal_times_second_half_mirrors_first(self, q, hurst, t):
+        # the order-3 contraction sums half the triples of a rule laid out
+        # this way: u > v side first, then the same nodes with u, v swapped
+        u, v, w = eta_pair_rule(hurst, t, t, q)
+        half = w.size // 2
+        assert w.size == 2 * half
+        assert np.all(u[:half] > v[:half])
+        np.testing.assert_array_equal(u[half:], v[:half])
+        np.testing.assert_array_equal(v[half:], u[:half])
+        np.testing.assert_array_equal(w[half:], w[:half])
+
     def test_total_weight_matches_closed_form(self):
         k = TemporalKernel(0.7)
         u, v, w = eta_pair_rule(0.7, 0.9, 0.4, 8)
@@ -169,6 +183,19 @@ class TestSymmetricContraction:
             tracemalloc.stop()
         assert peak < 22e6
 
+    def test_order3_peak_memory_on_mirrored_rule(self):
+        # the same contraction keeps rests of the rule's first 400 nodes
+        # only: each per-rest array of floats takes 0.64 MB
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 20)
+        assert w.size == 800
+        tracemalloc.start()
+        try:
+            _contract_gaussian(0.5 - u, 0.5 - v, w, 3, 1.0, 1, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_order2_peak_memory_on_series2_rung(self):
         # one order-2 contraction on the rung q = 32 of a series2 query:
         # m = 4096, so a table of all m^2 pairs would take more than 60 MB
@@ -218,6 +245,49 @@ class TestSymmetricContraction:
         default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, 1, off2)
         shuffled = _contract_gaussian(0.5 - u[perm], 0.5 - v[perm], w[perm], n, 1.0, 1, off2)
         assert shuffled == pytest.approx(default, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("off2", [0.0, 0.3])
+    def test_mirrored_sum_matches_full_sum(self, d, off2):
+        # the whole rule at t = s is its own mirror image, and its sum runs
+        # over half the triples; shuffled, it takes the full sum
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 8)
+        perm = np.random.default_rng(7).permutation(w.size)
+        mirrored = _contract_gaussian(0.5 - u, 0.5 - v, w, 3, 1.0, d, off2)
+        full = _contract_gaussian(0.5 - u[perm], 0.5 - v[perm], w[perm], 3, 1.0, d, off2)
+        assert mirrored == pytest.approx(full, rel=1e-13)
+
+    def test_mirrored_rule_takes_half_the_triples(self, monkeypatch):
+        tuples = []
+        original = chaos_oracle.det_qsum_3
+
+        def counted(*args, **kwargs):
+            tuples.append(max(np.size(x) for x in args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chaos_oracle, "det_qsum_3", counted)
+
+        def count(t, s, u, v, w):
+            tuples.clear()
+            _contract_gaussian(t - u, s - v, w, 3, 1.0, 1, 0.3)
+            return sum(tuples)
+
+        def full_count(t, s, u, v, w):
+            # a shuffled copy of the rule takes the full sum
+            perm = np.random.default_rng(11).permutation(w.size)
+            return count(t, s, u[perm], v[perm], w[perm])
+
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 12)
+        triples = math.comb(w.size + 2, 3)
+        assert full_count(0.5, 0.5, u, v, w) >= triples
+        assert count(0.5, 0.5, u, v, w) <= 0.51 * triples
+        # one weight one ulp off breaks the mirror, and so does t != s
+        nudged = w.copy()
+        nudged[-1] = np.nextafter(nudged[-1], 1.0)
+        assert count(0.5, 0.5, u, v, nudged) == full_count(0.5, 0.5, u, v, w)
+        u, v, w = eta_pair_rule(0.75, 0.5, 0.4, 8)
+        assert w.size % 2 == 0
+        assert count(0.5, 0.4, u, v, w) == full_count(0.5, 0.4, u, v, w)
 
     def test_order2_contracts_panels_not_single_rows(self, monkeypatch):
         # a per-row loop would make about m + 1 det_qsum_2 calls here
