@@ -78,9 +78,10 @@ MAX_ORDER = 3
 _BLOCK = 16384
 
 # pair-rule orders q, one ladder for every chaos order.  Orders 2 and 3
-# converge only like q^-2 (their integrands have min-kinks between nodes),
-# so consecutive rungs differ by a factor of at least 4/3: closer rungs
-# differ by less than the error they leave.
+# converge only algebraically (their integrands have min-kinks between
+# nodes): at h = 1, x = y, like q^-3 at t = s = 1 and like q^-2.1 to
+# q^-2.3 at t = 1, s = 0.6.  So consecutive rungs differ by a factor of at
+# least 4/3: closer rungs differ by less than the error they leave.
 _PAIR_LEVELS = [8, 12, 16, 24, 32]
 
 _SIMPLEX_LEVELS = [8, 12, 16, 24, 32, 48]
@@ -414,6 +415,21 @@ def _series(n_max: int, tol: float, zeroth: float, horizon: float, f, order_term
     )
 
 
+def _order_vanishes(n: int, q: QueryPoint, f, u0, horizon: float) -> bool:
+    """Check an order-n term of either series at query ``q``: n is an
+    integer in 1..MAX_ORDER, f acts on q's dimension and, unless f is the
+    zero kernel, the closed form covers f and u0 (checked in that order).
+    True when the term is exactly 0: a zero kernel or a zero ``horizon``."""
+    require_integer("order", n)
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
+    require_kernel_dim(f, q.dim)
+    if isinstance(f, ZeroKernel):
+        return True
+    _require_closed_form(f, u0)
+    return horizon == 0.0
+
+
 def alpha_n_quadrature(
     n: int,
     q: QueryPoint,
@@ -430,15 +446,8 @@ def alpha_n_quadrature(
     most ``tol`` times max(|value|, ``scale_floor``) (:func:`_certify`); a
     ``trace`` entry is (q, m, value, |delta|, tol * scale).
     """
-    require_integer("order", n)
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
-    require_kernel_dim(f, q.dim)
-    if isinstance(f, ZeroKernel):
-        return 0.0
-    _require_closed_form(f, u0)
     t, s = q.t, q.s
-    if t * s == 0.0:
+    if _order_vanishes(n, q, f, u0, t * s):
         return 0.0
     # the integrand is symmetric under swapping (t, x) <-> (s, y); fix one
     # orientation so swapped queries give bit-identical values
@@ -487,15 +496,8 @@ def white_noise_order_term(
     by :func:`_certify` with no scale floor; a ``trace`` entry is (points
     per axis, simplex node count m, value, |delta|, tol * |value|).
     """
-    require_integer("order", n)
-    if not 1 <= n <= MAX_ORDER:
-        raise DomainError(f"order must satisfy 1 <= n <= {MAX_ORDER}, got {n}")
     q = QueryPoint(t=t, s=t, x=x, y=y)
-    require_kernel_dim(f, q.dim)
-    if isinstance(f, ZeroKernel):
-        return 0.0
-    _require_closed_form(f, u0)
-    if t == 0.0:
+    if _order_vanishes(n, q, f, u0, t):
         return 0.0
     off2 = q.offset_sq
     c2 = u0.value * u0.value

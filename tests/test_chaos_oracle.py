@@ -178,11 +178,11 @@ class TestAlphaQuadrature:
     @pytest.mark.parametrize("hurst", [0.55, 0.95])
     @pytest.mark.parametrize("s", [0.4999, 0.5 - 1e-8])
     def test_near_equal_unequal_times(self, hurst, s):
-        # t - s is so small that the cells past the kink r = t - s of the
-        # u > v side crowd toward the diagonal.  a_n grows with t and s, so
-        # a_n(s, s) <= a_n(t, s) <= a_n(t, t) up to tol * scale.  At
-        # s = t - 1e-8 the bracket is far narrower than tol, so the value
-        # matches the t = s one
+        # t - s is so small that r spans a factor of 5e3 or 5e7 from the
+        # kink r = t - s of the u > v side to r = t, two or four log-r
+        # cells.  a_n grows with t and s, so a_n(s, s) <= a_n(t, s) <=
+        # a_n(t, t) up to tol * scale.  At s = t - 1e-8 the bracket is far
+        # narrower than tol, so the value matches the t = s one
         t, tol = 0.5, 1e-5
         k = TemporalKernel(hurst)
         for n in (1, 2):

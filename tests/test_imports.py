@@ -91,14 +91,13 @@ def test_contraction_calls_the_traced_det_qsum(monkeypatch, n):
     assert calls[f"det_qsum_{n}"] > 0
 
 
-def test_series2_benchmark_calls_pass_their_gate(monkeypatch):
+def test_oracle_benchmark_calls_pass_their_gate(monkeypatch):
     # the oracle-series workload checks every call against its frozen total
-    # in perfbench/reference.json; a contraction change that would fail
-    # those checks fails here first (the three series3 calls would add
-    # seconds, so only the series2 calls run)
+    # in perfbench/reference.json; a quadrature or contraction change that
+    # would fail those checks fails here first
     workloads = _load_perfbench(monkeypatch, "workloads")
-    specs = [spec for spec in workloads.build("oracle-series", 0).plan if spec.cls == "series2"]
-    assert len(specs) == 5
+    specs = workloads.build("oracle-series", 0).plan
+    assert len(specs) == 8
     for spec in specs:
         result = spec.invoke(0)
         assert spec.passes(result), (spec.label, result.total - spec.reference)

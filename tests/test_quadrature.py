@@ -92,8 +92,8 @@ class TestGolubWelsch:
 
 
 class TestPairRule:
-    # t > s, t < s, and t - s so small that the cells past the kink
-    # r = t - s crowd toward the diagonal
+    # t > s, t < s, and t - s so small that the u > v side needs four
+    # log-r cells between the kink r = t - s and r = t
     @pytest.mark.parametrize("t, s", [(0.8, 0.6), (0.6, 0.8), (0.5, 0.5 - 1e-8)])
     def test_weights_positive_and_nodes_in_domain(self, t, s):
         u, v, w = eta_pair_rule(0.65, t, s, 12)
@@ -101,6 +101,35 @@ class TestPairRule:
         assert np.all((u >= 0) & (u <= t))
         assert np.all((v >= 0) & (v <= s))
         assert np.all(u != v)  # nodes never sit on the singular diagonal
+
+    @pytest.mark.parametrize(
+        "t, s",
+        [
+            (0.48426078515942567, 6.356992576849936e-16),
+            (0.9998049980023462, 1.012450800011338e-15),
+            (0.22675353086728375, 2.7730934541170097e-16),
+        ],
+    )
+    def test_weights_nonnegative_when_one_time_is_tiny(self, t, s):
+        # the kink r = t - s lies within a few ulp of t, so the rounded
+        # t / (t - s) - 1 keeps few correct bits; log-r nodes placed from
+        # it rather than from the exact t - (t - s) pass r = t here and
+        # get negative segment lengths
+        u, v, w = eta_pair_rule(0.75, t, s, 12)
+        assert np.all(w >= 0)
+        assert np.all((u >= 0) & (u <= t))
+        assert np.all((v >= 0) & (v <= s))
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 1e-3])
+    def test_nearest_unequal_times_stay_within_ten_q_squared(self, t):
+        # s is the double just below t, so t / (t - s) is as large as two
+        # distinct doubles allow (2^53 at t = 1 and 0.5): eight log-r cells
+        # past the kink, and still at most 10 q^2 nodes
+        q, s = 12, float(np.nextafter(t, 0.0))
+        u, v, w = eta_pair_rule(0.75, t, s, q)
+        assert w.size <= 10 * q**2
+        mass = TemporalKernel(0.75).mass(t, s)
+        assert abs(w.sum() - mass) <= 1e-14 * mass
 
     @pytest.mark.parametrize("q", _PAIR_LEVELS)
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
@@ -197,13 +226,14 @@ class TestSymmetricContraction:
         assert peak < 8e6
 
     def test_order2_peak_memory_on_series2_rung(self):
-        # one order-2 contraction on the rung q = 32 of a series2 query:
-        # m = 4096, so a table of all m^2 pairs would take more than 60 MB
-        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 32)
+        # one order-2 contraction of an unequal-times rule at q = 32, with
+        # two log-r cells past the kink r = 0.005: m = 4096, so a table of
+        # all m^2 pairs would take more than 60 MB
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.995, 32)
         assert w.size == 4096
         tracemalloc.start()
         try:
-            _contract_gaussian(1.0 - u, 0.6 - v, w, 2, 1.0, 1, 0.09)
+            _contract_gaussian(1.0 - u, 0.995 - v, w, 2, 1.0, 1, 0.09)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,7 +321,7 @@ class TestSymmetricContraction:
 
     def test_order2_contracts_panels_not_single_rows(self, monkeypatch):
         # a per-row loop would make about m + 1 det_qsum_2 calls here
-        u, v, w = eta_pair_rule(0.75, 1.0, 0.6, 32)
+        u, v, w = eta_pair_rule(0.75, 1.0, 0.995, 32)
         assert w.size == 4096
         calls = []
         original = chaos_oracle.det_qsum_2
@@ -301,7 +331,7 @@ class TestSymmetricContraction:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(chaos_oracle, "det_qsum_2", counted)
-        _contract_gaussian(1.0 - u, 0.6 - v, w, 2, 1.0, 1, 0.09)
+        _contract_gaussian(1.0 - u, 0.995 - v, w, 2, 1.0, 1, 0.09)
         assert 0 < len(calls) < w.size / 4
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
