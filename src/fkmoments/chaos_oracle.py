@@ -81,8 +81,16 @@ _BLOCK = 16384
 # converge only algebraically (their integrands have min-kinks between
 # nodes): at h = 1, x = y, like q^-3 at t = s = 1 and like q^-2.1 to
 # q^-2.3 at t = 1, s = 0.6.  So consecutive rungs differ by a factor of at
-# least 4/3: closer rungs differ by less than the error they leave.
-_PAIR_LEVELS = [8, 12, 16, 24, 32]
+# least 4/3: closer rungs differ by less than the error they leave.  Even
+# the first step, 6 -> 8, leaves an error of about 1 / ((4/3)^p - 1)
+# times its |delta|: up to 1.26 |delta| at t != s (p about 2.2), against
+# 0.73 |delta| on a ladder from 8, whose first step is 8 -> 12 (measured
+# against q = 32 for H 0.55 to 0.95 and h 0.3 to 3).  The ladder starts
+# at 6 because from 4 the first step moves order 2 at t = s = 0.5 by a
+# third of tol, so whether a value passes it hangs on its scale: a value
+# and its 2.5^2-fold copy under the same scale floor stop on different
+# rungs.
+_PAIR_LEVELS = [6, 8, 12, 16, 24, 32]
 
 _SIMPLEX_LEVELS = [8, 12, 16, 24, 32, 48]
 

@@ -97,10 +97,16 @@ class TemporalKernel:
         """Integral of eta over [0, t] x [0, s], in closed form.
 
         Equals the fractional Brownian covariance
-        (t^(2H) + s^(2H) - |t-s|^(2H)) / 2.
+        (t^(2H) + s^(2H) - |t-s|^(2H)) / 2, which is t^(2H) at t = s.  For
+        t > s it is evaluated as (s^(2H) - t^(2H) expm1(2H log1p(-s/t))) / 2,
+        which keeps full relative precision when s << t, where the
+        difference cancels.
         """
         h2 = 2.0 * self.hurst
-        return 0.5 * (t**h2 + s**h2 - abs(t - s) ** h2)
+        if t == s:
+            return t**h2
+        t, s = max(t, s), min(t, s)
+        return 0.5 * (s**h2 - t**h2 * math.expm1(h2 * math.log1p(-s / t)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ product of q Gauss-Jacobi points in r, which absorb the power weight
 r^(2H-2) exactly on the r-piece that starts at 0, and q Gauss-Legendre
 points in p.  Past the kink, where r^(2H-2) is smooth but its branch
 point r = 0 may be as close as |t - s|, r is covered by at most 8 equal
-cells in ln r, each spanning a factor of at most 100 in r, with q
-Gauss-Legendre points each; so a rule has 2 q^2 nodes at t = s and at
-most 10 q^2 for any two distinct times.  No weight is negative.
+cells in ln r, each spanning a factor of at most 100 in r, with
+max(q, 12) Gauss-Legendre points each; so a rule has 2 q^2 nodes at
+t = s, and for any two distinct times at most 2 q^2 + 96 q nodes when
+q < 12 and at most 10 q^2 when q >= 12.  No weight is negative.
 
 Tensor products of one pair rule per coordinate pair discretize the
 2n-dimensional integrals behind the chaos coefficients; the integrands
@@ -60,9 +61,11 @@ __all__ = [
 
 # Past the kink each cell spans at most this factor in r, a width of ln 100
 # in x = ln r, where the branch point r = 0 of r^beta lies at x = -infinity.
-# A full cell's total weight then matches the closed-form mass to 1.3e-9 at
-# q = 8 and to rounding at q = 12, for H from 0.55 to 0.95.
+# A full cell's total weight matches the closed-form mass to 1.3e-9 with 8
+# Gauss-Legendre points in x and to rounding with 12, for H from 0.55 to
+# 0.95; so a cell never takes fewer than _CELL_POINTS points, whatever q.
 _CELL_FACTOR = 100.0
+_CELL_POINTS = 12
 
 
 def _golub_welsch(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +115,12 @@ def _gap_side(alpha: float, beta: float, reach: float, width: float, q: int):
     r^beta is smooth but its branch point r = 0 may be as close as the
     kink; in x = ln r it sits at -infinity.  So the piece from kink to
     reach is cut into ceil(ln(reach / kink) / ln _CELL_FACTOR) equal cells
-    in x, each with q Gauss-Legendre points and r-weights
-    alpha dx w_i r_i^(beta + 1).  For doubles, reach / kink <= 2^53, so
-    there are at most 8 cells, at most 9 q values of r on this side, and
-    at most 10 q^2 nodes in a pair rule.  Every r carries q Gauss-Legendre
-    points in p.
+    in x, each with c = max(q, _CELL_POINTS) Gauss-Legendre points and
+    r-weights alpha dx w_i r_i^(beta + 1).  For doubles,
+    reach / kink <= 2^53, so there are at most 8 cells and at most
+    q + 8 c values of r on this side.  Every r carries q Gauss-Legendre
+    points in p, so a pair rule has at most 2 q^2 + 96 q nodes for
+    q < _CELL_POINTS and at most 10 q^2 from there on.
     """
     glx, glw = gauss_legendre_01(q)
     gjx, gjw = gauss_jacobi_01(q, beta)
@@ -130,10 +134,11 @@ def _gap_side(alpha: float, beta: float, reach: float, width: float, q: int):
         span = math.log1p((reach - kink) / kink)
         cells = math.ceil(span / math.log(_CELL_FACTOR))
         dx = span / cells
-        x = dx * (np.arange(cells)[:, None] + glx).ravel()
+        cx, cw = gauss_legendre_01(max(q, _CELL_POINTS))
+        x = dx * (np.arange(cells)[:, None] + cx).ravel()
         nodes = kink + kink * np.expm1(x)
         r.append(nodes)
-        wr.append(alpha * dx * np.tile(glw, cells) * nodes ** (beta + 1.0))
+        wr.append(alpha * dx * np.tile(cw, cells) * nodes ** (beta + 1.0))
     r, wr = np.concatenate(r), np.concatenate(wr)
     length = np.minimum(width, reach - r)
     p = np.outer(length, glx).ravel()
@@ -148,8 +153,9 @@ def eta_pair_rule(
     sum_i w_i g(u_i, v_i) approximates int_0^t int_0^s eta(u, v) g dv du
     for smooth g: a product rule of order ``q`` in the gap r = |u - v|
     and the position along each gap's diagonal segment, on each side of
-    the diagonal (:func:`_gap_side`).  It has 2 q^2 nodes at t = s and
-    at most 10 q^2 at any other pair of times.
+    the diagonal (:func:`_gap_side`).  It has 2 q^2 nodes at t = s; at
+    any other pair of times it has at most 2 q^2 + 96 q for q < 12 and
+    at most 10 q^2 for q >= 12.
     The u > v side comes first; at t == s the second half is the first
     with u and v swapped, bit for bit, which the order-3 contraction uses.
     """

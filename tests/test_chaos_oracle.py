@@ -199,6 +199,33 @@ class TestAlphaQuadrature:
             weights = eta_pair_rule(hurst, t, s, trace[-1][0])[2]
             assert abs(weights.sum() - k.mass(t, s)) <= 1e-13
 
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    @pytest.mark.parametrize("t, s", [(0.5, 0.5), (1.0, 0.6), (0.5, 0.4999)])
+    @pytest.mark.parametrize("hurst", [0.55, 0.95])
+    def test_certified_value_is_within_tol_of_a_higher_rung(self, hurst, t, s, h, offset):
+        # the certificate compares two rungs, and the first step 6 -> 8 is
+        # the ladder's closest, so check the accepted value against the
+        # rung after it (q = 48 past the ladder's top), which is the closer
+        # to the limit, at the scale floor of a unit zeroth term.  Order 3
+        # at q = 24 takes seconds, so its reference is at most 4 above q
+        from fkmoments.chaos_oracle import _PAIR_LEVELS, _contract_gaussian
+
+        tol, floor = 1e-5, 1.0
+        q = QueryPoint(t=t, s=s, x=(offset,), y=(0.0,))
+        k, f = TemporalKernel(hurst), HeatKernel(dim=1, bandwidth=h)
+        ladder = [*_PAIR_LEVELS, 48]
+        for n in (1, 2, 3) if t == s else (1, 2):
+            trace = []
+            value = alpha_n_quadrature(n, q, k, f, CONST1, tol, floor, trace)
+            accepted = trace[-1][0]
+            order = ladder[ladder.index(accepted) + 1]
+            if n == 3:
+                order = min(order, accepted + 4)
+            u, v, w = eta_pair_rule(hurst, t, s, order)
+            reference = _contract_gaussian(t - u, s - v, w, n, h, 1, offset**2)
+            assert abs(value - reference) <= tol * max(abs(value), floor), (n, order)
+
     def test_zero_kernel_is_exactly_zero(self):
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         k = TemporalKernel(0.75)
@@ -320,8 +347,8 @@ class TestSecondMomentSeries:
             assert all(r[3] > r[4] for r in rungs[1:-1])
             assert rungs[-1][3] <= rungs[-1][4]
             assert rungs[-1][2] / math.factorial(n) == a6_series.order_terms[n - 1]
-        # order 3 is accepted on its second rung, q = 12, with m = 288
-        assert [r[:2] for r in refinement[3]] == [(8, 128), (12, 288)]
+        # order 3 is accepted on its second rung, q = 8, with m = 128
+        assert [r[:2] for r in refinement[3]] == [(6, 72), (8, 128)]
 
 
 class TestWhiteNoiseOrderTerm:

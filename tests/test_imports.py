@@ -101,3 +101,17 @@ def test_oracle_benchmark_calls_pass_their_gate(monkeypatch):
     for spec in specs:
         result = spec.invoke(0)
         assert spec.passes(result), (spec.label, result.total - spec.reference)
+
+
+def test_oracle_benchmark_queries_certify_every_order_at_q8(monkeypatch):
+    # the pair-rule ladder starts at q = 6, so every oracle-series order is
+    # accepted on its second rung: m = 2 q^2 = 128 at t = s, and 224 at
+    # t != s, where the u > v side adds one 12-point log-r cell past the kink
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    assert len(workloads.ORACLE_QUERIES) == 8
+    for label, n_max, t, s, x, y in workloads.ORACLE_QUERIES:
+        refinement = workloads.oracle_query(n_max, t, s, x, y)().diagnostics["refinement"]
+        assert sorted(refinement) == list(range(1, n_max + 1))
+        m = 128 if t == s else 224
+        for n, rungs in refinement.items():
+            assert [r[:2] for r in rungs] == [(6, rungs[0][1]), (8, m)], (label, n)

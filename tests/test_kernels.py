@@ -101,6 +101,30 @@ class TestTemporalKernel:
         # (1 + 0.5^(2H) - 0.5^(2H)) / 2 for any H
         assert TemporalKernel(0.75).mass(1.0, 0.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "s, exact", [(1e-13, 7.500001581138643e-14), (2.0**-53, 8.326672743179176e-17)]
+    )
+    def test_mass_keeps_precision_when_one_time_is_tiny(self, s, exact):
+        # (1 + s^1.5 - (1 - s)^1.5) / 2 = 0.75 s + O(s^1.5); written as a
+        # difference it cancels to 5.9e-5 relative at s = 1e-13 and to
+        # 50% at s = 2^-53.  The exact values are from 40-digit arithmetic
+        k = TemporalKernel(0.75)
+        assert abs(k.mass(1.0, s) - exact) <= 1e-12 * exact
+        assert k.mass(s, 1.0) == k.mass(1.0, s)
+
+    def test_mass_off_diagonal_matches_the_difference_form(self):
+        # away from s << t the difference form rounds only to a few ulp of
+        # its largest term max(t, s)^(2H), and the two forms agree to that
+        rng = np.random.default_rng(7)
+        for hurst, t, ratio in zip(
+            rng.uniform(0.5, 1.0, 2000), rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-2, 0, 2000)
+        ):
+            h2, s = 2.0 * hurst, t * ratio
+            difference = 0.5 * (t**h2 + s**h2 - (t - s) ** h2)
+            mass = TemporalKernel(hurst).mass(t, s)
+            assert abs(mass - difference) <= 1e-15 * t**h2
+            assert TemporalKernel(hurst).mass(t, t) == 0.5 * (t**h2 + t**h2 - 0.0**h2)
+
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9])
     @pytest.mark.parametrize("ts", [(1.0, 1.0), (1.0, 0.5), (0.3, 0.7)])
     def test_mass_matches_graded_quadrature(self, hurst, ts):

@@ -131,6 +131,17 @@ class TestPairRule:
         mass = TemporalKernel(0.75).mass(t, s)
         assert abs(w.sum() - mass) <= 1e-14 * mass
 
+    @pytest.mark.parametrize("q", [6, 8])
+    @pytest.mark.parametrize("t", [1.0, 0.5, 1e-3])
+    def test_nearest_unequal_times_below_q12_keep_twelve_point_cells(self, t, q):
+        # below q = 12 each of the eight log-r cells still takes 12 points,
+        # so the rule has 2 q^2 + 96 q nodes and its mass stays exact
+        s = float(np.nextafter(t, 0.0))
+        u, v, w = eta_pair_rule(0.75, t, s, q)
+        assert w.size == 2 * q**2 + 96 * q
+        mass = TemporalKernel(0.75).mass(t, s)
+        assert abs(w.sum() - mass) <= 1e-14 * mass
+
     @pytest.mark.parametrize("q", _PAIR_LEVELS)
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.0])
