@@ -17,11 +17,13 @@ remainder is covered by an explicitly heuristic geometric tail estimate.
 One blocked multiset contraction (:func:`_contract_gaussian`) serves
 orders 2 and 3.  It sums panels of consecutive rows, as many as fit one
 block of tuples, so order 2 makes one Python loop turn per panel rather
-than per node.  Sigma is a covariance, so det(I + Sigma/h) >= 1 and no
-diagonal jitter is added, repeated nodes included.  At equal times the
-pair rule is its own mirror image (u and v swapped), which leaves the
-integrand unchanged, so order 3 sums one triple of each mirror pair and
-doubles the sum.
+than per node.  Each row meets every rest whose largest node is at most
+its own in that one pass, and a tuple whose largest node repeats takes
+a share of the rest's one multiplicity weight.  Sigma is a covariance,
+so det(I + Sigma/h) >= 1 and no diagonal jitter is added, repeated
+nodes included.  At equal times the pair rule is its own mirror image
+(u and v swapped), which leaves the integrand unchanged, so order 3
+sums one triple of each mirror pair and doubles the sum.
 
 Both series certify convergence on one ladder (:func:`_certify`): each
 order is refined until two successive rungs differ by at most ``tol``
@@ -224,32 +226,36 @@ def _contract_gaussian(
 
     ``a``, ``b`` are the elapsed-time coordinates of the rule nodes and
     ``w`` their weights.  Order 1 is one batched closed form.  At n = 2, 3
-    the sum runs over tuples (i, rest), each (n - 1)-multiset rest listed
-    once, ordered by its largest node k: the nodes k, or the
+    the sum runs over tuples (i, rest) with i >= k, each (n - 1)-multiset
+    rest listed once, ordered by its largest node k: the nodes k, or the
     ``np.tril_indices`` pairs (k, j) with j <= k.  The tuple's
     M = I + Sigma/h = [[a,b,c],[b,d,e],[c,e,f]] (n = 2: [[a,b],[b,d]])
     takes a, b, c from row i and the rest from data computed once per
     rung: d at n = 2; at n = 3 e = Sigma_jk/h, p = f - e, q = d - e and
-    c00 = d f - e^2.  Rests with k < i are the prefix of the table before
-    row i's; rests with k = i are summed for every i in one final pass.
-    Each tuple is weighted by its multiplicity n!/prod(counts!).
+    c00 = d f - e^2.  The rests with k <= i are the prefix of the table
+    that ends with row i's own.  Each rest has one weight, the product of
+    w over its nodes times the multiplicity n!/prod(counts!) of the tuples
+    it makes with any i > k: n!, or n if it repeats k.  At k = i the
+    multiset's multiplicity is a share of that: 1/2, or 1/3 if i = k = j.
 
     At n = 3 a mirrored rule, whose second half is exactly its first with
     a and b swapped (``eta_pair_rule`` at t = s), gives a triple and its
     mirror the same summand.  Rests then keep only nodes k < m/2, which
     picks one triple of each mirror pair, and the sum is doubled.
 
-    Rows i are summed in panels: as many consecutive rows as fit one block
-    of ``_BLOCK`` tuples against the prefix of the panel's last row, or a
-    lone row whose prefix is split into blocks.  Each panel builds its
-    rows' Sigma_ij/h for the j of that prefix once, and its rows' tuples
-    past their own prefix get weight 0 (their M is still a valid matrix).
-    Blocks run through four preallocated buffers of ``_BLOCK`` floats and
-    a panel's Sigma_ij/h has at most max(_BLOCK, m) entries, so at n = 3
-    the per-rest arrays set the peak memory (seven of r (r + 1) / 2, r = m
-    or m/2 if mirrored, one of them the weights of the pass that runs, and
-    an eighth while they are built), and at n = 2 the buffers and the
-    block's temporaries do.
+    Rows i are summed in panels, in one pass: as many consecutive rows as
+    fit one block of ``_BLOCK`` tuples against the prefix of the panel's
+    last row, or one row whose prefix is split into blocks.  Each panel
+    builds its rows' Sigma_ij/h for the j of that prefix once.  Only the
+    rests with k >= the panel's first row are corrected, by the factor
+    ``np.heaviside(i - k, share)``: 0 past row i's prefix (M is still a
+    valid matrix there), the share at k = i.  Blocks run through four
+    preallocated buffers of ``_BLOCK`` floats, which hold det, qsum and the
+    two gathered rest columns, so a block allocates only det_qsum's own
+    temporaries.  A panel's Sigma_ij/h has at most max(_BLOCK, m) entries,
+    so at n = 3 the per-rest arrays set the peak memory (seven of
+    r (r + 1) / 2, r = m or m/2 if mirrored, and an eighth while they are
+    built), and at n = 2 the buffers and the block's temporaries do.
     """
     if n == 1:
         vals = gaussian_product_expectation_batch(a[:, None], b[:, None], h, d, off2)
@@ -265,103 +271,70 @@ def _contract_gaussian(
     span = half if mirrored else m
     # entries of Sigma/h are sums of minima of a/h and of b/h
     a, b = a / h, b / h
-    sigma = a + b
-    one = 1.0 + sigma
+    one = 1.0 + (a + b)
     if n == 2:
         det_qsum, rest, rest_cols = det_qsum_2, (np.arange(m),), (one,)
-        repeats = rest[0]
     else:
         det_qsum, rest = det_qsum_3, np.tril_indices(span)
         kk, jj = rest
         e = np.minimum(a[jj], a[kk]) + np.minimum(b[jj], b[kk])
         p, q = one[jj] - e, one[kk] - e
         rest_cols = (e, p, q, block_det(e, p, q))
-        repeats = np.flatnonzero(jj == kk)
     top = rest[0]
-    size = top.size
-
-    def rest_weights(head):
-        """Per rest, the product of w over its nodes times the multiplicity
-        of its tuples (i, rest): with i = k and one more factor w_k if
-        ``head``, else with i > k (w_i then enters as a row weight)."""
-        weights = np.take(w, top)
-        for idx in rest[1:]:
-            weights *= w[idx]
-        if head:
-            weights *= w[top]
-        # at k = i: n, or 1 if the rest repeats one index; before row i: n!, or n
-        mult, mult_rep = (n, 1.0) if head else (math.factorial(n), n)
-        rep = weights[repeats] * mult_rep
-        weights *= mult
-        weights[repeats] = rep
-        return weights
-
-    buffers = np.empty((4, min(_BLOCK, m * size)))
+    # per rest, the product of w over its nodes times the multiplicity of
+    # its tuples (i, rest) with i > k: n!, or n if the rest repeats k
+    weights = np.take(w, top)
+    for idx in rest[1:]:
+        weights *= w[idx]
+    weights *= math.factorial(n)
+    if n == 3:
+        weights[jj == kk] *= 0.5
+    buffers = np.empty((4, min(_BLOCK, m * top.size)))
     # exp(-0.0 * q) is exactly 1, so at x = y qsum is not needed
     with_qsum = off2 != 0.0
-
-    def contract(row, blk, out, weights, row_w, cut=None):
-        """sum_r row_w[r] sum_c weights[blk][c] f(M_rc) over one block:
-        ``row`` holds M's entries a, b and, at n = 3, c, broadcast to the
-        block's shape (rows, cols) or (cols,), and ``out`` two buffers of
-        that shape; columns c >= cut[r] of row r are left out."""
-        det, qsum = out
-        det_qsum(*row, *(col[blk] for col in rest_cols), out=(det, qsum if with_qsum else None))
-        vals, expo = closed_form_factors(det, qsum, h, d, off2, weights[blk])
-        if expo is not None:
-            vals *= expo
-        if cut is not None:
-            tail = vals[:, cut[0] :]
-            tail[np.arange(cut[0], blk.stop) >= cut[:, None]] = 0.0
-        return float(np.dot(row_w, vals.sum(axis=-1)))
-
     total = 0.0
-    past_w = rest_weights(head=False)
     i1 = m
-    while i1 > 1:
-        # rows [i0, i1) against the rests before row i1 - 1's, which hold only
-        # nodes j < i1 - 1; pair[r, j] = Sigma_ij/h with i = i0 + r
-        hi = np.searchsorted(top, i1 - 1)
-        i0 = max(1, i1 - max(1, _BLOCK // hi))
-        if i1 - i0 == 1:
-            # a lone row stays one-dimensional, which numpy runs faster
-            rows, a_i, cut = i0, one[i0], None
-        else:
-            # several rows fit one block; row i's own rests end where
-            # those with k >= i begin
-            rows, cut = slice(i0, i1), np.searchsorted(top, np.arange(i0, i1))
-            a_i = one[rows, None]
-        stop = min(i1 - 1, span)
+    while i1 > 0:
+        # rows [i0, i1) against the rests up to row i1 - 1's, which hold
+        # only nodes j < i1; pair[r, j] = Sigma_ij/h with i = i0 + r
+        hi = np.searchsorted(top, i1 - 1, side="right")
+        i0 = max(0, i1 - max(1, _BLOCK // hi))
+        rows = slice(i0, i1)
+        # rests from cut on have k >= i0: some row of the panel has k >= i
+        cut = np.searchsorted(top, i0)
+        stop = min(i1, span)
         pair = np.minimum.outer(a[rows], a[:stop])
         pair += np.minimum.outer(b[rows], b[:stop])
         for pos in range(0, hi, _BLOCK):
             blk = slice(pos, min(pos + _BLOCK, hi))
-            shape = (*pair.shape[:-1], blk.stop - pos)
+            shape = (i1 - i0, blk.stop - pos)
             det, qsum, col0, col1 = buffers[:, : math.prod(shape)].reshape(4, *shape)
             if n == 2:
                 # the rests are the nodes j, so b is pair itself
-                cols = [pair[..., blk]]
+                cols = [pair[:, blk]]
             else:
+                # indices are in range; "clip" lets take write into out directly
                 cols = [
-                    pair.take(idx[blk], axis=-1, out=out, mode="clip")
+                    pair.take(idx[blk], axis=1, out=out, mode="clip")
                     for idx, out in zip(rest, (col0, col1))
                 ]
-            total += contract((a_i, *cols), blk, (det, qsum), past_w, w[rows], cut)
+            det_qsum(
+                one[rows, None], *cols, *(col[blk] for col in rest_cols),
+                out=(det, qsum if with_qsum else None),
+            )
+            vals, expo = closed_form_factors(det, qsum, h, d, off2, weights[blk])
+            if expo is not None:
+                vals *= expo
+            if cut < blk.stop:
+                # a tuple with k > i is not summed; at k = i its multiplicity
+                # is 1/(1 + c) of that with k < i, c the count of k in the
+                # rest (rest[0] is k itself)
+                tail = slice(max(cut, pos), blk.stop)
+                k = top[tail]
+                share = 1.0 / (2 + sum(idx[tail] == k for idx in rest[1:]))
+                vals[:, tail.start - pos :] *= np.heaviside(np.arange(i0, i1)[:, None] - k, share)
+            total += float(np.dot(w[rows], vals.sum(axis=1)))
         i1 = i0
-    # one array of rest weights at a time: the head's replace the panels'
-    del past_w
-    head_w = rest_weights(head=True)
-    for pos in range(0, size, _BLOCK):
-        # tuples (k, rest): a = M_kk, b = Sigma_kk/h and, at n = 3, c = e
-        blk = slice(pos, min(pos + _BLOCK, size))
-        det, qsum, col0, col1 = buffers[:, : blk.stop - pos]
-        # indices are in range; "clip" lets take write into out directly
-        row = (
-            one.take(top[blk], out=col0, mode="clip"),
-            sigma.take(top[blk], out=col1, mode="clip"),
-            *(col[blk] for col in rest_cols[: n - 2]),
-        )
-        total += contract(row, blk, (det, qsum), head_w, 1.0)
     if mirrored:
         total *= 2.0
     return float((2.0 * math.pi * h) ** (-0.5 * n * d) * total)
@@ -379,20 +352,20 @@ def series_settings(n_max: int, tol: float) -> tuple[int, float]:
 
 def _certify(label: str, rungs, evaluate, tol: float, scale_floor: float, trace):
     """Value at the first rung within tol * max(|value|, scale_floor) of
-    the rung before it; ``evaluate(*rung)`` gives (node count m, value).
+    the rung before it; ``evaluate(rung)`` gives (node count m, value).
 
-    If ``trace`` is a list, one entry (*rung, m, value, |delta|, tol *
+    If ``trace`` is a list, one entry (rung, m, value, |delta|, tol *
     scale) is appended per rung tried, |delta| being None on the first.
     Raises NumericError naming the last two iterates if no rung passes.
     """
     prev = cur = None
     for rung in rungs:
         prev = cur
-        m, cur = evaluate(*rung)
+        m, cur = evaluate(rung)
         delta = None if prev is None else abs(cur - prev)
         bound = tol * max(abs(cur), scale_floor)
         if trace is not None:
-            trace.append((*rung, m, cur, delta, bound))
+            trace.append((rung, m, cur, delta, bound))
         if delta is not None and delta <= bound:
             return cur
     raise NumericError(
@@ -404,11 +377,14 @@ def _series(n_max: int, tol: float, zeroth: float, horizon: float, f, order_term
     """Zeroth term plus orders 1..n_max, which vanish exactly for the zero
     kernel or a zero horizon; otherwise ``order_term(n, scale, trace)``
     certifies order n, ``scale`` being the magnitude of the series so far.
+    The tail is 0 when every order vanishes, else :func:`truncation_tail`
+    of the computed orders (inf when n_max = 0).
     """
     series_settings(n_max, tol)
     terms = [0.0] * n_max
     refinement = {}
-    if not (isinstance(f, ZeroKernel) or horizon == 0.0 or n_max == 0):
+    vanishes = isinstance(f, ZeroKernel) or horizon == 0.0
+    if not vanishes:
         scale = abs(zeroth)
         for n in range(1, n_max + 1):
             refinement[n] = []
@@ -417,7 +393,7 @@ def _series(n_max: int, tol: float, zeroth: float, horizon: float, f, order_term
     return SeriesResult(
         zeroth_term=zeroth,
         order_terms=terms,
-        tail_estimate=truncation_tail(terms),
+        tail_estimate=0.0 if vanishes else truncation_tail(terms),
         total=zeroth + math.fsum(terms),
         diagnostics={"refinement": refinement},
     )
@@ -471,8 +447,7 @@ def alpha_n_quadrature(
         # elapsed times seen by the inner product are (t - u, s - v)
         return w.size, c2 * _contract_gaussian(t - u, s - v, w, n, h, d, off2)
 
-    levels = [(order,) for order in _PAIR_LEVELS]
-    return _certify(f"order-{n}", levels, rung, tol, scale_floor, trace)
+    return _certify(f"order-{n}", _PAIR_LEVELS, rung, tol, scale_floor, trace)
 
 
 def second_moment_series(
@@ -516,8 +491,7 @@ def white_noise_order_term(
         vals = gaussian_product_expectation_batch(times, times, f.bandwidth, d, off2)
         return weights.size, c2 * float(np.dot(weights, vals))
 
-    levels = [(points,) for points in _SIMPLEX_LEVELS]
-    return _certify(f"white-noise order-{n}", levels, rung, tol, 0.0, trace)
+    return _certify(f"white-noise order-{n}", _SIMPLEX_LEVELS, rung, tol, 0.0, trace)
 
 
 def white_noise_series(t: float, x, y, f, u0, n_max: int, tol: float) -> SeriesResult:
@@ -538,12 +512,13 @@ def truncation_tail(order_terms) -> float:
 
     r = |last| / |previous| clamped to [0, 0.9]; tail = |last| r / (1 - r).
     Returns +inf as the signal that the computed terms are not decreasing
-    (no geometric extrapolation is defensible then).  A vanishing last
-    term gives tail 0.  Heuristic by construction.
+    (no geometric extrapolation is defensible then), and so does an empty
+    list: no computed order bounds the remainder.  A vanishing last term
+    gives tail 0.  Heuristic by construction.
     """
     terms = [float(v) for v in order_terms]
     if not terms:
-        return 0.0
+        return math.inf
     last = abs(terms[-1])
     if last == 0.0:
         return 0.0

@@ -561,3 +561,6 @@ class TestTruncationTail:
     def test_single_term(self):
         assert truncation_tail([0.5]) == math.inf
         assert truncation_tail([0.0]) == 0.0
+
+    def test_no_terms_signal_infinity(self):
+        assert truncation_tail([]) == math.inf

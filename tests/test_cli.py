@@ -160,6 +160,25 @@ class TestOracleCommand:
         assert rec["total"] == 1.0
         assert rec["tail_estimate"] == 0.0
 
+    def test_no_orders_give_an_infinite_tail(self):
+        # n_max = 0 computes no order, so nothing bounds the remainder
+        rec = run_json("oracle", "--set", "oracle.n_max=0")
+        assert rec["total"] == 1.0
+        assert rec["tail_estimate"] == "inf"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--set", "kernel.spatial=zero"),
+            ("--set", "query.t=0"),
+            ("--equation", "white", "--set", "query.t=0", "--set", "query.s=0"),
+        ],
+        ids=["zero-kernel", "ts-zero", "white-t-zero"],
+    )
+    def test_vanishing_orders_keep_a_zero_tail_without_orders(self, args):
+        rec = run_json("oracle", "--set", "oracle.n_max=0", *args)
+        assert rec["tail_estimate"] == 0.0
+
     def test_white_equation_series(self):
         rec = run_json("oracle", "--equation", "white")
         assert rec["total"] == pytest.approx(1.1801117743084188, abs=1e-7)
@@ -227,6 +246,13 @@ class TestCompareCommand:
         result = run_cli(
             "compare", "--mode", "importance", "--set", "oracle.n_max=1", *FAST,
         )
+        assert result.exit_code == 4
+        rec = json.loads(result.stdout)
+        assert rec["tail_estimate"] == "inf"
+        assert rec["verdict"] == "inconclusive"
+
+    def test_no_orders_are_inconclusive(self):
+        result = run_cli("compare", "--set", "oracle.n_max=0", *FAST)
         assert result.exit_code == 4
         rec = json.loads(result.stdout)
         assert rec["tail_estimate"] == "inf"

@@ -263,17 +263,23 @@ class TestSymmetricContraction:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("d, off2", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)])
     def test_block_size_leaves_the_sum_unchanged(self, monkeypatch, n, d, off2):
-        # m = 64.  Blocks of 7: the k = i head spans several blocks, and the
-        # rests of every late row many more.  Blocks of 100: panels group
-        # rows wherever their rests are short, and mask the tuples past a
-        # row's own rests.  Blocks of m^3: one panel holds every row.
-        u, v, w = eta_pair_rule(0.75, 0.5, 0.5, 16)
-        u, v, w = u[::8], v[::8], w[::8]
-        default = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
-        for block in (7, 100, w.size**3):
-            monkeypatch.setattr(chaos_oracle, "_BLOCK", block)
-            blocked = _contract_gaussian(0.5 - u, 0.5 - v, w, n, 1.0, d, off2)
-            assert blocked == pytest.approx(default, rel=1e-13), block
+        # Two thinned rules (t, s, q, every thin-th node): the mirrored t = s
+        # rule, m = 64, whose rows i >= m/2 never reach a rest with k = i
+        # at n = 3, and an unequal-times rule, m = 48, where every row
+        # meets its own k = i tuples and they take their share of the
+        # rest's weight.  Blocks of 7: the rests up to a row's own span
+        # several blocks, and the share falls in the last.  Blocks of 100:
+        # panels group rows wherever their rests are short, and zero the
+        # tuples past a row's own rests.  Blocks of m^3: one panel holds
+        # every row.
+        for t, s, q, thin in ((0.5, 0.5, 16, 8), (1.0, 0.6, 6, 3)):
+            u, v, w = eta_pair_rule(0.75, t, s, q)
+            u, v, w = u[::thin], v[::thin], w[::thin]
+            dense = dense_ordered_sum(t - u, s - v, w, n, 1.0, d, off2)
+            for block in (7, 100, w.size**3):
+                monkeypatch.setattr(chaos_oracle, "_BLOCK", block)
+                blocked = _contract_gaussian(t - u, s - v, w, n, 1.0, d, off2)
+                assert blocked == pytest.approx(dense, rel=1e-13), (t, s, block)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("off2", [0.0, 0.3])
