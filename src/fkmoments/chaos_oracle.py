@@ -25,12 +25,15 @@ nodes included.  At equal times the pair rule is its own mirror image
 (u and v swapped), which leaves the integrand unchanged, so order 3
 sums one triple of each mirror pair and doubles the sum.
 
-Both series certify convergence on one ladder (:func:`_certify`): each
-order is refined until two successive rungs differ by at most ``tol``
-relative to the larger of the current iterate and a scale floor.  The
-fractional series passes the running series magnitude as that floor, so
-its tolerance is relative to the quantity actually being reported; the
-white-in-time series uses no floor.
+Both series certify convergence the same way (:func:`_certify`): each
+order is refined up a ladder of rules until two successive rungs differ
+by at most ``tol`` relative to the larger of the current iterate and a
+scale floor.  The fractional series passes the running series magnitude
+as that floor, so its tolerance is relative to the quantity actually
+being reported; the white-in-time series uses no floor.  The fractional
+ladder of pair-rule orders starts at q = 6 for orders 1 and 2 and at
+q = 4 for order 3, and one series builds each pair rule once and shares
+it across its orders.
 """
 
 from __future__ import annotations
@@ -79,19 +82,25 @@ MAX_ORDER = 3
 # fourteen of 128 KB) outgrow a 2 MB L2 cache.
 _BLOCK = 16384
 
-# pair-rule orders q, one ladder for every chaos order.  Orders 2 and 3
-# converge only algebraically (their integrands have min-kinks between
-# nodes): at h = 1, x = y, like q^-3 at t = s = 1 and like q^-2.1 to
-# q^-2.3 at t = 1, s = 0.6.  So consecutive rungs differ by a factor of at
-# least 4/3: closer rungs differ by less than the error they leave.  Even
-# the first step, 6 -> 8, leaves an error of about 1 / ((4/3)^p - 1)
-# times its |delta|: up to 1.26 |delta| at t != s (p about 2.2), against
-# 0.73 |delta| on a ladder from 8, whose first step is 8 -> 12 (measured
-# against q = 32 for H 0.55 to 0.95 and h 0.3 to 3).  The ladder starts
-# at 6 because from 4 the first step moves order 2 at t = s = 0.5 by a
-# third of tol, so whether a value passes it hangs on its scale: a value
-# and its 2.5^2-fold copy under the same scale floor stop on different
-# rungs.
+# pair-rule orders q of chaos orders 1 and 2; order 3 climbs [4, *these].
+# Orders 2 and 3 converge only algebraically (their integrands have
+# min-kinks between nodes): at h = 1, x = y, like q^-3 at t = s = 1 and
+# like q^-2.1 to q^-2.3 at t = 1, s = 0.6.  So consecutive rungs differ by
+# a factor of at least 4/3: closer rungs differ by less than the error
+# they leave.  Even the step 6 -> 8 leaves an error of about
+# 1 / ((4/3)^p - 1) times its |delta|: up to 1.26 |delta| at t != s
+# (p about 2.2), against 0.73 |delta| on a ladder from 8, whose first step
+# is 8 -> 12 (measured against q = 32 for H 0.55 to 0.95 and h 0.3 to 3).
+# Orders 1 and 2 start at 6 because from 4 the first step moves order 2
+# at t = s = 0.5 by a third of tol, so whether a value passes it hangs on
+# its scale: a value and its 2.5^2-fold copy under the same scale floor
+# stop on different rungs.  Order 3's tolerance is set by the series
+# magnitude, about 660 times a_3 at t = s = 0.5, where its step 4 -> 6
+# moves it by a tenth of the bound.  That step's ratio 1.5 leaves
+# 1 / (1.5^p - 1) of its |delta|, 0.42 at p = 3 and 0.69 at p = 2.2: less
+# than the step 6 -> 8 leaves.  Order 3's cost grows like m^3 (m = 72 at
+# q = 6 and 128 at q = 8 when t = s), so accepting at q = 6 saves most of
+# it.
 _PAIR_LEVELS = [6, 8, 12, 16, 24, 32]
 
 _SIMPLEX_LEVELS = [8, 12, 16, 24, 32, 48]
@@ -248,11 +257,11 @@ def _contract_gaussian(
     last row, or one row whose prefix is split into blocks.  Each panel
     builds its rows' Sigma_ij/h for the j of that prefix once.  Only the
     rests with k >= the panel's first row are corrected, by the factor
-    ``np.heaviside(i - k, share)``: 0 past row i's prefix (M is still a
-    valid matrix there), the share at k = i.  Blocks run through four
-    preallocated buffers of ``_BLOCK`` floats, which hold det, qsum and the
-    two gathered rest columns, so a block allocates only det_qsum's own
-    temporaries.  A panel's Sigma_ij/h has at most max(_BLOCK, m) entries,
+    i - k + share clipped to [0, 1]: 0 past row i's prefix (M is still a
+    valid matrix there), the share at k = i and 1 for k < i.  Blocks run
+    through four preallocated buffers of ``_BLOCK`` floats, which hold det,
+    qsum and the two gathered rest columns, so a block allocates only
+    det_qsum's own temporaries.  A panel's Sigma_ij/h has at most max(_BLOCK, m) entries,
     so at n = 3 the per-rest arrays set the peak memory (seven of
     r (r + 1) / 2, r = m or m/2 if mirrored, and an eighth while they are
     built), and at n = 2 the buffers and the block's temporaries do.
@@ -332,7 +341,10 @@ def _contract_gaussian(
                 tail = slice(max(cut, pos), blk.stop)
                 k = top[tail]
                 share = 1.0 / (2 + sum(idx[tail] == k for idx in rest[1:]))
-                vals[:, tail.start - pos :] *= np.heaviside(np.arange(i0, i1)[:, None] - k, share)
+                # the share is added after the exact integer difference i - k,
+                # so at k = i the factor is the share itself
+                factor = np.subtract.outer(np.arange(i0, i1), k) + share
+                vals[:, tail.start - pos :] *= np.clip(factor, 0.0, 1.0, out=factor)
             total += float(np.dot(w[rows], vals.sum(axis=1)))
         i1 = i0
     if mirrored:
@@ -423,12 +435,17 @@ def alpha_n_quadrature(
     tol: float,
     scale_floor: float = 0.0,
     trace: list | None = None,
+    *,
+    _rules: dict | None = None,
 ) -> float:
     """Chaos coefficient a_n by tensor quadrature over gap-position pair rules.
 
     Refines the pair-rule order q until two successive values differ by at
     most ``tol`` times max(|value|, ``scale_floor``) (:func:`_certify`); a
-    ``trace`` entry is (q, m, value, |delta|, tol * scale).
+    ``trace`` entry is (q, m, value, |delta|, tol * scale).  Orders 1 and 2
+    climb ``_PAIR_LEVELS``, order 3 starts one rung lower, at q = 4.
+    ``_rules`` is internal: :func:`second_moment_series` passes one dict to
+    all its orders, so each pair rule is built once per series.
     """
     t, s = q.t, q.s
     if _order_vanishes(n, q, f, u0, t * s):
@@ -436,18 +453,26 @@ def alpha_n_quadrature(
     # the integrand is symmetric under swapping (t, x) <-> (s, y); fix one
     # orientation so swapped queries give bit-identical values
     if t < s:
-        return alpha_n_quadrature(n, q.swapped(), k, f, u0, tol, scale_floor, trace)
+        return alpha_n_quadrature(
+            n, q.swapped(), k, f, u0, tol, scale_floor, trace, _rules=_rules
+        )
     c2 = u0.value * u0.value
     off2 = q.offset_sq
     h = f.bandwidth
     d = q.dim
+    rules = {} if _rules is None else _rules
 
     def rung(order):
-        u, v, w = eta_pair_rule(k.hurst, t, s, order)
-        # elapsed times seen by the inner product are (t - u, s - v)
-        return w.size, c2 * _contract_gaussian(t - u, s - v, w, n, h, d, off2)
+        key = (k.hurst, t, s, order)
+        if key not in rules:
+            u, v, w = eta_pair_rule(k.hurst, t, s, order)
+            # elapsed times seen by the inner product are (t - u, s - v)
+            rules[key] = (t - u, s - v, w)
+        a, b, w = rules[key]
+        return w.size, c2 * _contract_gaussian(a, b, w, n, h, d, off2)
 
-    return _certify(f"order-{n}", _PAIR_LEVELS, rung, tol, scale_floor, trace)
+    ladder = [4, *_PAIR_LEVELS] if n >= 3 else _PAIR_LEVELS
+    return _certify(f"order-{n}", ladder, rung, tol, scale_floor, trace)
 
 
 def second_moment_series(
@@ -460,8 +485,13 @@ def second_moment_series(
         initial_field(u0, q.s, q.y_arr)
     )
 
+    # the pair rules of this query, keyed by (H, t, s, q), shared by its orders
+    rules = {}
+
     def order_term(n, scale, trace):
-        a_n = alpha_n_quadrature(n, q, k, f, u0, tol, scale_floor=scale, trace=trace)
+        a_n = alpha_n_quadrature(
+            n, q, k, f, u0, tol, scale_floor=scale, trace=trace, _rules=rules
+        )
         return a_n / math.factorial(n)
 
     return _series(n_max, tol, zeroth, q.t * q.s, f, order_term)

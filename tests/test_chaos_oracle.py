@@ -204,24 +204,29 @@ class TestAlphaQuadrature:
     @pytest.mark.parametrize("t, s", [(0.5, 0.5), (1.0, 0.6), (0.5, 0.4999)])
     @pytest.mark.parametrize("hurst", [0.55, 0.95])
     def test_certified_value_is_within_tol_of_a_higher_rung(self, hurst, t, s, h, offset):
-        # the certificate compares two rungs, and the first step 6 -> 8 is
-        # the ladder's closest, so check the accepted value against the
-        # rung after it (q = 48 past the ladder's top), which is the closer
-        # to the limit, at the scale floor of a unit zeroth term.  Order 3
-        # at q = 24 takes seconds, so its reference is at most 4 above q
+        # the certificate compares two rungs, and the step 6 -> 8 is the
+        # ladder's closest, so check the accepted value against the rung
+        # after it (q = 48 past the ladder's top), which is the closer to
+        # the limit, at the scale floor of a unit zeroth term.  Order 3
+        # starts at q = 4, and a value its steps 4 -> 6 or 6 -> 8 accept
+        # is checked two rungs up (q = 12 or 16).  Past q = 8 order 3
+        # climbs as orders 1 and 2 do, and at q = 24 takes seconds, so
+        # there its reference is at most 4 above q.  At t != s, H = 0.55
+        # and h = 0.3, order 3 climbs to q = 32 (m = 3072, a minute or two)
         from fkmoments.chaos_oracle import _PAIR_LEVELS, _contract_gaussian
 
         tol, floor = 1e-5, 1.0
         q = QueryPoint(t=t, s=s, x=(offset,), y=(0.0,))
         k, f = TemporalKernel(hurst), HeatKernel(dim=1, bandwidth=h)
         ladder = [*_PAIR_LEVELS, 48]
-        for n in (1, 2, 3) if t == s else (1, 2):
+        slow = t != s and (hurst, h) == (0.55, 0.3)
+        for n in (1, 2) if slow else (1, 2, 3):
             trace = []
             value = alpha_n_quadrature(n, q, k, f, CONST1, tol, floor, trace)
-            accepted = trace[-1][0]
-            order = ladder[ladder.index(accepted) + 1]
+            step = ladder.index(trace[-1][0])
+            order = ladder[step + 1]
             if n == 3:
-                order = min(order, accepted + 4)
+                order = ladder[step + 2] if step <= 1 else min(order, ladder[step] + 4)
             u, v, w = eta_pair_rule(hurst, t, s, order)
             reference = _contract_gaussian(t - u, s - v, w, n, h, 1, offset**2)
             assert abs(value - reference) <= tol * max(abs(value), floor), (n, order)
@@ -232,11 +237,13 @@ class TestAlphaQuadrature:
         for n in (1, 2, 3):
             assert alpha_n_quadrature(n, q, k, ZeroKernel(dim=1), CONST1, 1e-5) == 0.0
 
-    def test_constant_scaling_is_exact(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_scaling_is_exact(self, n):
+        # a value and its 2.5^2-fold copy must stop on the same rung
         q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
         k = TemporalKernel(0.75)
-        base = alpha_n_quadrature(2, q, k, HEAT1, CONST1, 1e-5, scale_floor=1.0)
-        scaled = alpha_n_quadrature(2, q, k, HEAT1, Constant(2.5), 1e-5, scale_floor=1.0)
+        base = alpha_n_quadrature(n, q, k, HEAT1, CONST1, 1e-5, scale_floor=1.0)
+        scaled = alpha_n_quadrature(n, q, k, HEAT1, Constant(2.5), 1e-5, scale_floor=1.0)
         assert scaled == 2.5 * 2.5 * base
 
     def test_degenerate_time_is_zero(self):
@@ -341,14 +348,61 @@ class TestSecondMomentSeries:
         refinement = a6_series.diagnostics["refinement"]
         assert sorted(refinement) == [1, 2, 3]
         for n, rungs in refinement.items():
-            assert [r[0] for r in rungs] == _PAIR_LEVELS[: len(rungs)]
+            ladder = [4, *_PAIR_LEVELS] if n == 3 else _PAIR_LEVELS
+            assert [r[0] for r in rungs] == ladder[: len(rungs)]
             assert rungs[0][3] is None
             # every rung but the last was rejected, the last accepted
             assert all(r[3] > r[4] for r in rungs[1:-1])
             assert rungs[-1][3] <= rungs[-1][4]
             assert rungs[-1][2] / math.factorial(n) == a6_series.order_terms[n - 1]
-        # order 3 is accepted on its second rung, q = 8, with m = 128
-        assert [r[:2] for r in refinement[3]] == [(6, 72), (8, 128)]
+        # every order is accepted on its second rung: orders 1 and 2 at
+        # q = 8 (m = 128), order 3, whose ladder starts at q = 4, at q = 6
+        for n in (1, 2):
+            assert [r[:2] for r in refinement[n]] == [(6, 72), (8, 128)]
+        assert [r[:2] for r in refinement[3]] == [(4, 32), (6, 72)]
+
+    def test_pair_rules_are_built_once_per_series(self, a6_series, monkeypatch):
+        # the orders of one series share each (H, t, s, q) pair rule: at A6
+        # orders 1 and 2 try q = 6, 8 and order 3 tries q = 4, 6, so three
+        # rules are built
+        from fkmoments import chaos_oracle
+
+        built = []
+        original = chaos_oracle.eta_pair_rule
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(chaos_oracle, "eta_pair_rule", counted)
+        k = TemporalKernel(0.75)
+        a6 = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        series = second_moment_series(a6, k, HEAT1, CONST1, 3, 1e-5)
+        refinement = series.diagnostics["refinement"]
+        tried = {r[0] for rungs in refinement.values() for r in rungs}
+        assert sorted(args[3] for args in built) == sorted(tried) == [4, 6, 8]
+        assert refinement == a6_series.diagnostics["refinement"]
+        # orders 1 and 2 read the rules order 1 built; their entries are
+        # those of rules built per order
+        assert refinement[1] == [
+            (6, 72, 0.11630721435053264, None, 1e-05),
+            (8, 128, 0.11630721435692286, 6.390221685137476e-12, 1e-05),
+        ]
+        assert refinement[2] == [
+            (6, 72, 0.0139157504681458, None, 1.1163072143569228e-05),
+            (8, 128, 0.013914998845195608, 7.516229501916549e-07, 1.1163072143569228e-05),
+        ]
+        # t < s swaps to t > s before any rule is built, so both orientations
+        # build the same rules, once each
+        q = QueryPoint(t=0.6, s=1.0, x=(0.0,), y=(0.2,))
+        runs = []
+        for query in (q, q.swapped()):
+            built.clear()
+            series = second_moment_series(query, k, HEAT1, CONST1, 3, 1e-5)
+            assert len(set(built)) == len(built)
+            assert all(t >= s for _, t, s, _ in built)
+            runs.append((series.diagnostics["refinement"], list(built)))
+        assert runs[0] == runs[1]
 
 
 class TestWhiteNoiseOrderTerm:

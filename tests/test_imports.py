@@ -103,10 +103,11 @@ def test_oracle_benchmark_calls_pass_their_gate(monkeypatch):
         assert spec.passes(result), (spec.label, result.total - spec.reference)
 
 
-def test_oracle_benchmark_queries_certify_every_order_at_q8(monkeypatch):
-    # the pair-rule ladder starts at q = 6, so every oracle-series order is
-    # accepted on its second rung: m = 2 q^2 = 128 at t = s, and 224 at
-    # t != s, where the u > v side adds one 12-point log-r cell past the kink
+def test_oracle_benchmark_queries_certify_every_order_on_its_second_rung(monkeypatch):
+    # every oracle-series order is accepted on its second rung.  Orders 1
+    # and 2 climb from q = 6 to q = 8: m = 2 q^2 = 128 at t = s, and 224 at
+    # t != s, where the u > v side adds one 12-point log-r cell past the
+    # kink.  Order 3, only at t = s here, climbs from q = 4 to q = 6 (m = 72)
     workloads = _load_perfbench(monkeypatch, "workloads")
     assert len(workloads.ORACLE_QUERIES) == 8
     for label, n_max, t, s, x, y in workloads.ORACLE_QUERIES:
@@ -114,4 +115,5 @@ def test_oracle_benchmark_queries_certify_every_order_at_q8(monkeypatch):
         assert sorted(refinement) == list(range(1, n_max + 1))
         m = 128 if t == s else 224
         for n, rungs in refinement.items():
-            assert [r[:2] for r in rungs] == [(6, rungs[0][1]), (8, m)], (label, n)
+            expected = [(4, 32), (6, 72)] if n == 3 else [(6, rungs[0][1]), (8, m)]
+            assert [r[:2] for r in rungs] == expected, (label, n)
