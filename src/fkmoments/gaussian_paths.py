@@ -16,13 +16,13 @@ vector with mean x - y and per-coordinate covariance
     Sigma_{jk} = min(t_j, t_k) + min(s_j, s_k),
 
 and the expectation of a product of heat kernels of those differences has
-the closed form implemented by :func:`gaussian_product_expectation_batch`.
-It is finished from det(I + Sigma/h) and ones' (I + Sigma/h)^{-1} ones by
-:func:`closed_form_factors`, which the oracle's contraction also calls on
-each block of tuples, with the cofactor formulas :func:`det_qsum_2` and
-:func:`det_qsum_3`.  Sigma is a covariance, so every eigenvalue of
-I + Sigma/h is at least 1: the closed form needs no diagonal jitter, even
-when times repeat and Sigma is singular.
+the closed form implemented by :func:`gaussian_product_expectation_batch`
+through one batched elimination I + Sigma/h = L D L'.  Sigma is a
+covariance, so I + Sigma/h >= I and every pivot D_k is at least 1: no
+pivoting or diagonal jitter is needed, even when times repeat and Sigma
+is singular.  The oracle's contraction sums the closed form over a pair
+rule's tuples with its per-rest kernels :func:`det_qsum_2` and
+:func:`det_qsum_3`; both finish it by :func:`closed_form_factors`.
 """
 
 from __future__ import annotations
@@ -110,21 +110,21 @@ def _rank_walk(times: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndar
     return np.take(walk.reshape(dim, -1), rank, axis=1).T
 
 
-def det_qsum_2(a, b, c, out=None):
-    """det and ones' M^{-1} ones for symmetric M = [[a, b], [b, c]]; ``out``
-    as in :func:`det_qsum_3`."""
-    det, qsum = (None, None) if out is None else out
+def det_qsum_2(a, b, c, *, out):
+    """det and ones' M^{-1} ones for symmetric M = [[a, b], [b, c]], written
+    into ``out`` as in :func:`det_qsum_3`: the order-2 contraction's kernel,
+    with c the rest's diagonal entry."""
+    det, qsum = out
     tmp = b * b
-    det = np.multiply(a, c, out=det)
+    np.multiply(a, c, out=det)
     det -= tmp
-    if out is not None and qsum is None:
-        return det, None
+    if qsum is None:
+        return
     # numerator: a + c - 2 b
     np.add(b, b, out=tmp)
-    qsum = np.add(a, c, out=qsum)
+    np.add(a, c, out=qsum)
     qsum -= tmp
     qsum /= det
-    return det, qsum
 
 
 def block_det(e, p, q):
@@ -140,38 +140,38 @@ def block_det(e, p, q):
     return c00
 
 
-def det_qsum_3(a, b, c, e, p, q, c00, out=None):
+def det_qsum_3(a, b, c, e, p, q, c00, *, out):
     """det and ones' M^{-1} ones for symmetric M = [[a,b,c],[b,d,e],[c,e,f]].
 
-    M is passed through its first row (a, b, c), its entry e, p = f - e,
-    q = d - e and c00 = d f - e^2 (see :func:`block_det`); then
+    The order-3 contraction's kernel.  M is passed through its first row
+    (a, b, c), which varies with the tuple, and through the rest's data:
+    its entry e, p = f - e, q = d - e and c00 = d f - e^2 (see
+    :func:`block_det`), computed once per rest.  Then
 
         det  = a c00 - e (b - c)^2 - b^2 p - c^2 q,
         qsum = (c00 + a (p + q) - 2 b p - 2 c q - (b - c)^2) / det.
 
-    Only a, b and c involve the first index, so a caller that fixes it
-    and varies the other two can compute (e, p, q, c00) once per pair.
     For M = I + Sigma/h, with Sigma a covariance, det >= 1 and p, q >= 1,
     so neither a pivot nor a diagonal jitter is needed.
 
-    ``out``, if given, is a pair of arrays that receive (det, qsum); when
-    its second entry is None, qsum is neither computed nor returned (None
-    in its place) and det is bitwise the same.
+    ``out`` is a pair of arrays of the broadcast shape of the arguments,
+    which receive (det, qsum).  When its second entry is None, qsum is not
+    computed and det is bitwise the same.
     """
-    det, qsum = (None, None) if out is None else out
+    det, qsum = out
     diff2 = b - c
     diff2 *= diff2
     bp = b * p
     cq = c * q
-    det = np.multiply(a, c00, out=det)
+    np.multiply(a, c00, out=det)
     tmp = e * diff2
     det -= tmp
     np.multiply(b, bp, out=tmp)
     det -= tmp
     np.multiply(c, cq, out=tmp)
     det -= tmp
-    if out is not None and qsum is None:
-        return det, None
+    if qsum is None:
+        return
     # numerator: c00 + a (p + q) - 2 (b p + c q) - (b - c)^2
     bp += cq
     bp *= 2.0
@@ -180,8 +180,7 @@ def det_qsum_3(a, b, c, e, p, q, c00, out=None):
     cq += c00
     cq -= bp
     cq -= diff2
-    qsum = np.divide(cq, det, out=qsum)
-    return det, qsum
+    np.divide(cq, det, out=qsum)
 
 
 def closed_form_factors(det, qsum, h: float, dim: int, off_sq: float, weights):
@@ -216,10 +215,12 @@ def gaussian_product_expectation_batch(
             exp(-|offset|^2 ones' (h I + Sigma)^{-1} ones / 2)
 
     with ``off_sq`` = |offset|^2, finished by :func:`closed_form_factors`.
-    For n = 1 this is the heat density p_{h+Sigma}(offset).  Cofactor
-    formulas serve n <= 3 and batched linear algebra beyond.  Every
-    eigenvalue of I + Sigma/h is >= 1, so the matrix is never singular,
-    repeated times included.
+    For n = 1 this is the heat density p_{h+Sigma}(offset).
+
+    M = I + Sigma/h is eliminated column by column, M = L D L', on one
+    batch vector per lower-triangle entry: det M = prod_k D_k, and
+    ones' M^{-1} ones = sum_k y_k^2 / D_k with L y = ones.  Each pivot D_k
+    is a diagonal entry of a Schur complement of M >= I, so D_k >= 1.
     """
     t_mat = np.asarray(t_mat, dtype=float)
     s_mat = np.asarray(s_mat, dtype=float)
@@ -227,36 +228,33 @@ def gaussian_product_expectation_batch(
         raise DomainError(
             "time matrices must be two-dimensional, of equal shape, with n >= 1 columns"
         )
-    m_count, n = t_mat.shape
+    n = t_mat.shape[1]
     one = 1.0 + (t_mat + s_mat) / h
-
-    def entry(j, k):
-        return (
-            np.minimum(t_mat[:, j], t_mat[:, k]) + np.minimum(s_mat[:, j], s_mat[:, k])
-        ) / h
-
-    if n == 1:
-        det = one[:, 0]
-        qsum = 1.0 / det
-    elif n == 2:
-        det, qsum = det_qsum_2(one[:, 0], entry(0, 1), one[:, 1])
-    elif n == 3:
-        e = entry(1, 2)
-        p = one[:, 2] - e
-        q = one[:, 1] - e
-        det, qsum = det_qsum_3(
-            one[:, 0], entry(0, 1), entry(0, 2), e, p, q, block_det(e, p, q)
-        )
-    else:
-        sig = np.minimum(t_mat[:, :, None], t_mat[:, None, :]) + np.minimum(
-            s_mat[:, :, None], s_mat[:, None, :]
-        )
-        mm = sig / h
-        idx = np.arange(n)
-        mm[:, idx, idx] += 1.0
-        det = np.linalg.det(mm)
-        sol = np.linalg.solve(mm, np.ones((m_count, n, 1)))[..., 0]
-        qsum = np.sum(sol, axis=1)
+    # low[i][k] = M_ik for k <= i.  Eliminating column k leaves in rows and
+    # columns > k the Schur complement of M's leading k + 1 block, so each
+    # low[k][k] ends as the pivot D_k
+    low = [
+        [
+            (np.minimum(t_mat[:, i], t_mat[:, k]) + np.minimum(s_mat[:, i], s_mat[:, k])) / h
+            for k in range(i)
+        ]
+        + [one[:, i]]
+        for i in range(n)
+    ]
+    # L y = ones by forward substitution; y_0 = 1 is never updated, so
+    # qsum starts as 1 / D_0, which at n = 1 is the whole sum
+    y = [1.0] * n
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            lik = low[i][k] / low[k][k]
+            for j in range(k + 1, i + 1):
+                low[i][j] -= lik * low[j][k]
+            y[i] -= lik * y[k]
+    det = low[0][0]
+    qsum = 1.0 / det
+    for k in range(1, n):
+        det = det * low[k][k]
+        qsum += y[k] * y[k] / low[k][k]
     norm = (2.0 * math.pi * h) ** (-0.5 * n * dim)
     vals, expo = closed_form_factors(det, qsum, h, dim, off_sq, norm)
     return vals if expo is None else vals * expo

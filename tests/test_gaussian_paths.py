@@ -258,41 +258,64 @@ class TestGaussianProductExpectation:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_permutation_invariance_exact(self):
-        rng = make_rng(11)
-        t = rng.uniform(0, 1, 4)
-        s = rng.uniform(0, 1, 4)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 2), st.floats(0.0, 1.0)), min_size=1, max_size=6
+        ),
+        t_pool=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        repeat=st.booleans(),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_invariance_exact(self, pairs, t_pool, repeat, perm_seed):
+        # t is drawn from a pool of three, so equal t come with different s;
+        # ``repeat`` makes the last pair a copy of the first
+        if repeat and len(pairs) > 1:
+            pairs[-1] = pairs[0]
+        t = np.array([t_pool[i] for i, _ in pairs])
+        s = np.array([v for _, v in pairs])
         q = QueryPoint(t=1.0, s=1.0, x=(0.3, 0.0), y=(0.0, 0.0))
         f = HeatKernel(dim=2, bandwidth=0.8)
         base = inner_product_closed_form(t, s, q, f, Constant(1.0))
-        for _ in range(5):
-            perm = rng.permutation(4)
-            val = inner_product_closed_form(t[perm], s[perm], q, f, Constant(1.0))
-            assert val == base
+        perm = make_rng(perm_seed).permutation(len(pairs))
+        assert inner_product_closed_form(t[perm], s[perm], q, f, Constant(1.0)) == base
 
     def test_batch_matches_scalar(self):
         rng = make_rng(12)
-        for n in (1, 2, 3, 4):
+        for n in range(1, 7):
             t = rng.uniform(0, 1, (6, n))
             s = rng.uniform(0, 1, (6, n))
             batch = gaussian_product_expectation_batch(t, s, 0.9, 2, 0.25)
             scalar = [dense_closed_form(sigma_of(t[i], s[i]), 0.9, 2, 0.25) for i in range(6)]
             assert np.allclose(batch, scalar, rtol=1e-10)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6),
+        t_pool=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        s_pool=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=6, max_size=6),
+        h=st.floats(0.05, 2.0),
+        d=st.integers(1, 3),
+        off2=st.sampled_from([0.0, 0.25, 1.0]),
+    )
+    def test_batch_matches_dense_reference(self, n, t_pool, s_pool, picks, h, d, off2):
+        # picking from pools of three repeats times; a pool entry may be 0
+        t = np.array([t_pool[i] for i, _ in picks[:n]])
+        s = np.array([s_pool[j] for _, j in picks[:n]])
+        val = closed_form(t, s, h, d, off2)
+        assert val == pytest.approx(dense_closed_form(sigma_of(t, s), h, d, off2), rel=1e-12)
+
     def test_det_qsum_3_det_only_is_bitwise_equal(self):
         # the factored entries of I + Sigma / h for random time triples, as
         # the order-3 contraction builds them
         rng = make_rng(13)
         args = factored_entries(rng.uniform(0, 1, (4096, 3)), rng.uniform(0, 1, (4096, 3)), 0.7)
-        det_full, qsum_full = det_qsum_3(*args)
-        buf_det, buf_q = np.empty(4096), np.empty(4096)
-        det_out, qsum_out = det_qsum_3(*args, out=(buf_det, buf_q))
-        only_buf = np.empty(4096)
-        det_only, no_qsum = det_qsum_3(*args, out=(only_buf, None))
-        assert no_qsum is None
-        assert det_only is only_buf and det_out is buf_det and qsum_out is buf_q
-        assert np.array_equal(det_only, det_full) and np.array_equal(det_out, det_full)
-        assert np.array_equal(qsum_out, qsum_full)
+        det_full, qsum_full, det_only = np.empty((3, 4096))
+        det_qsum_3(*args, out=(det_full, qsum_full))
+        det_qsum_3(*args, out=(det_only, None))
+        assert np.array_equal(det_only, det_full)
+        assert np.all(det_full >= 1.0) and np.all(qsum_full > 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -306,12 +329,13 @@ class TestGaussianProductExpectation:
         # picking from a pool of three repeats times; a pool entry may be 0
         t = np.array([t_pool[i] for i in t_pick])
         s = np.array([s_pool[i] for i in s_pick])
-        det, qsum = det_qsum_3(*factored_entries(t[None, :], s[None, :], h))
+        det, qsum = np.empty(1), np.empty(1)
+        det_qsum_3(*factored_entries(t[None, :], s[None, :], h), out=(det, qsum))
         mat = np.eye(3) + sigma_of(t, s) / h
         assert det[0] == pytest.approx(np.linalg.det(mat), rel=1e-12)
         assert qsum[0] == pytest.approx(np.sum(np.linalg.solve(mat, np.ones(3))), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_monte_carlo_consistency(self, n):
         # sample mean of prod_j p_h(B1_{t_j} - B2_{s_j}) agrees with the
         # closed form within 3 stderr

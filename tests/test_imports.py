@@ -91,6 +91,44 @@ def test_contraction_calls_the_traced_det_qsum(monkeypatch, n):
     assert calls[f"det_qsum_{n}"] > 0
 
 
+def test_span_recorder_traces_the_live_modules(monkeypatch):
+    # a traced benchmark run installs the recorder on the live modules, so
+    # a renamed or rebound kernel would first fail there; the recorded
+    # calls must still return exactly what the untraced ones do
+    spans = _load_perfbench(monkeypatch, "spans")
+    q = fkmoments.QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+    k, f, u0 = fkmoments.TemporalKernel(0.75), fkmoments.HeatKernel(dim=1), fkmoments.Constant()
+    cfg = fkmoments.EstimatorConfig(replicates=2000, seed=42, mode="importance")
+
+    def run():
+        return (
+            fkmoments.second_moment_series(q, k, f, u0, 3, 1e-5),
+            fkmoments.estimate_second_moment_fractional(q, k, f, u0, cfg),
+        )
+
+    untraced = run()
+    owners = [importlib.import_module(module) for module, *_ in spans._FUNCTIONS]
+    owners.append(fkmoments.HeatKernel)
+    attrs = [attr for _, attr, *_ in spans._FUNCTIONS] + ["values"]
+    originals = [owner.__dict__[attr] for owner, attr in zip(owners, attrs)]
+    recorder = spans.SpanRecorder()
+    recorder.install((fkmoments.HeatKernel,))
+    try:
+        traced = run()
+    finally:
+        recorder.uninstall()
+    names = {span.name for span in recorder.spans}
+    assert {
+        "gaussian_paths.det_qsum_2",
+        "gaussian_paths.det_qsum_3",
+        "quadrature.eta_pair_rule",
+        "point_process.sample_eta_tilted",
+    } <= names
+    for owner, attr, original in zip(owners, attrs, originals):
+        assert owner.__dict__[attr] is original, attr
+    assert repr(traced) == repr(untraced)
+
+
 def test_oracle_benchmark_calls_pass_their_gate(monkeypatch):
     # the oracle-series workload checks every call against its frozen total
     # in perfbench/reference.json; a quadrature or contraction change that
