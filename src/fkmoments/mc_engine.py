@@ -19,6 +19,17 @@ eta_mass(t, s)/(t s), which removes the eta-factor variance entirely.
 The white-in-time representation averages over linear-Poisson jump times,
 with both paths evaluated at the same times, and reports e^{t} mean(V).
 
+With constant initial data V depends on the paths only through the
+differences D_j = x - y + B1_{tau_j} - B2_{rho_j}.  Their covariance,
+min(tau_j, tau_k) + min(rho_j, rho_k), equals min(tau_j + rho_j, tau_k +
+rho_k) whenever a row's times are co-monotone (tau_j <= tau_k exactly
+when rho_j <= rho_k).  The differences then have the law of one Brownian
+path from x - y read at tau + rho, and the engine draws that one path:
+d normals per point instead of 2d.  It does so in the two cases where
+rows are co-monotone by construction, shared times (the white
+representation) and rows of one point (K = 1); every other row draws
+both paths.
+
 One streaming engine, given a count law for K and a point law, runs all
 estimators.  It never draws K replicate by replicate: once per run it
 draws a count table, the number of replicates of each stderr batch with
@@ -51,8 +62,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +115,30 @@ _REDRAW_CAP = 64
 
 # level of the abs_replicate_q999 diagnostic
 _Q999 = 0.999
+
+# one slice pool per worker count, shared by every call in the process
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(workers, "fkmoments-slice")
+        return pool
+
+
+def _forget_pools() -> None:
+    """Drop the parent's pools in a forked child, whose copies have no
+    threads: a call there builds its own."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 @dataclass(frozen=True)
@@ -244,6 +280,14 @@ def _stream(cfg: EstimatorConfig, stream: int, count_table, evaluate, v0=0.0) ->
     would have with the counts drawn replicate by replicate.  Slices are
     summarised in worker threads and merged in order, with at most two
     slices per worker in flight.
+
+    The worker threads belong to a pool per worker count that lives as
+    long as the process: the first call with a given count starts it, and
+    later calls, from any thread, share it, so a worker's heap stays warm
+    between calls.  A forked child drops the pools it inherits, whose
+    threads did not survive the fork, and starts its own.  When a slice
+    raises, the call cancels its queued slices and waits for its running
+    ones before it raises.
     """
     total = cfg.replicates
     keep = total - _q999_position(total)[0]
@@ -281,14 +325,21 @@ def _stream(cfg: EstimatorConfig, stream: int, count_table, evaluate, v0=0.0) ->
     n0 = int(ends[-1, 0])
     acc = part(0, table[:, 0] * v0, n0, 0.0, np.full(min(n0, keep), abs(v0)), n0 * abs(v0))
     workers = cfg.effective_workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
+    pool = _pool(workers)
+    pending = deque()
+    try:
         for idx, piece in enumerate(slices(), start=1):
             pending.append(pool.submit(summarise, idx, *piece))
             if len(pending) == 2 * workers:
                 acc.absorb(pending.popleft().result(), keep)
+        while pending:
+            acc.absorb(pending.popleft().result(), keep)
+    except BaseException:
+        # no slice of a failed call outlives it
         for fut in pending:
-            acc.absorb(fut.result(), keep)
+            fut.cancel()
+        wait(pending)
+        raise
     return acc
 
 
@@ -424,10 +475,14 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
 
     ``evaluate(kk, g, rng)`` gives the values of g replicates with kk
     points each, whose elapsed times and temporal weight come from
-    ``points(g, kk, rng)``.  When the point law gives both paths the same
-    times (``rhos is taus``), the two paths are the two halves of one
-    2d-dimensional path, drawn in one call.  The values leave out the
-    w-product wfac = c*c when u0 is the constant c; otherwise wfac is None.
+    ``points(g, kk, rng)``.  The values leave out the w-product wfac = c*c
+    when u0 is the constant c; otherwise wfac is None.  With constant u0
+    and co-monotone rows, min(tau_j, tau_k) + min(rho_j, rho_k) =
+    min(tau_j + rho_j, tau_k + rho_k), so B1_tau - B2_rho is drawn as one
+    d-dimensional path read at tau + rho.  Two cases are co-monotone by
+    construction: shared times (``rhos is taus``) and kk = 1.  Otherwise,
+    shared times draw the two paths as the halves of one 2d-dimensional
+    path in one call, and other times draw each path on its own.
     """
     d = x.shape[0]
     offset = x - y
@@ -435,7 +490,11 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
 
     def evaluate(kk, g, rng):
         taus, rhos, weight = points(g, kk, rng)
-        if rhos is taus:
+        if wfac is not None and (rhos is taus or kk == 1):
+            # co-monotone rows: w1 is B1_tau - B2_rho, one path at tau + rho
+            w1 = brownian_batch_nd(taus + rhos, d, rng)
+            w2 = None
+        elif rhos is taus:
             w = brownian_batch_nd(taus, 2 * d, rng)
             w1, w2 = w[..., :d], w[..., d:]
         else:
@@ -444,7 +503,8 @@ def _evaluator(t: float, s: float, x, y, f: SpatialKernel, u0, points):
         # offset + w1 - w2 into coordinate-major memory, so that each numpy
         # loop, here and in the kernel, runs over rows rather than over d
         diff = np.add(w1.T, offset[:, None, None], out=np.empty(w1.T.shape))
-        diff -= w2.T
+        if w2 is not None:
+            diff -= w2.T
         rest = weight * _column_product(f.values(diff.T))
         if wfac is None:
             b1_star, tau_star = _value_at_max(w1, taus, x)

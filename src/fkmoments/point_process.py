@@ -156,8 +156,13 @@ def sample_eta_tilted(
         # at least two standard deviations of the accepted count to spare,
         # so one batch almost always suffices
         batch = int(need / rate + 3.0 * math.sqrt(need)) + 16
-        delta = rng.uniform(-sp, tp, size=batch)
-        u = rng.uniform(0.0, width, size=batch)
+        # U(-sp, tp) and U(0, width) in place, by Generator.uniform's own
+        # arithmetic (low + (high - low) * U[0, 1)), so the draws are its bits
+        delta = rng.random(batch)
+        delta *= tp + sp
+        delta -= sp
+        u = rng.random(batch)
+        u *= width
         # one scratch buffer holds |delta|^(1/p), then max(delta, 0), then v
         buf = np.abs(delta)
         buf **= 1.0 / p

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from fkmoments import mc_engine
 from fkmoments import (
     Constant,
     DomainError,
+    NumericError,
     EstimatorConfig,
     GaussianBump,
     HeatKernel,
@@ -294,9 +298,10 @@ class TestWhiteEstimator:
             assert count > 0
             assert abs(mean - oracle) <= 3 * stderr
 
-    def test_shared_times_split_one_path_in_two_dimensions(self):
-        # both paths are halves of one 2d-dimensional path; at d = 2 with
-        # x != y a mixed-up split would move the offset term
+    def test_shared_times_read_one_difference_path_in_two_dimensions(self):
+        # with constant u0 the differences are one d-dimensional path read
+        # at twice the shared times; at d = 2 with x != y a wrong offset or
+        # time would move the terms (test_white_bump pins the 2d split)
         from fkmoments import white_noise_order_term
 
         heat2 = HeatKernel(dim=2, bandwidth=0.5)
@@ -358,6 +363,27 @@ class TestOrderContribution:
         mean, stderr = estimate_order_contribution(1, Q0, K75, HEAT1, CONST1, cfg)
         comb = math.hypot(stderr, est.per_order[1][1])
         assert abs(mean - est.per_order[1][0]) <= 3 * comb
+
+
+class TestDifferencePath:
+    """One-point rows with constant u0 read one path at tau + rho; these
+    check the identity against the closed forms at d = 2 with x != y."""
+
+    HEAT2 = HeatKernel(dim=2, bandwidth=0.5)
+    Q2 = QueryPoint(t=1.0, s=0.6, x=(0.0, 0.2), y=(0.3, -0.1))
+
+    def test_one_point_inner_product_matches_closed_form(self):
+        closed = inner_product_closed_form([0.7], [0.2], self.Q2, self.HEAT2, CONST1)
+        mean, stderr = estimate_inner_product_mc(
+            [0.7], [0.2], self.Q2, self.HEAT2, CONST1, EstimatorConfig(replicates=100_000, seed=71)
+        )
+        assert abs(mean - closed) <= 4 * stderr
+
+    def test_order_one_matches_quadrature(self):
+        cfg = EstimatorConfig(replicates=100_000, seed=72, mode="importance")
+        mean, stderr = estimate_order_contribution(1, self.Q2, K75, self.HEAT2, CONST1, cfg)
+        oracle = alpha_n_quadrature(1, self.Q2, K75, self.HEAT2, CONST1, 1e-6, scale_floor=1.0)
+        assert abs(mean - oracle) <= 4 * stderr
 
 
 class TestInnerProductMC:
@@ -428,6 +454,92 @@ def test_worker_invariance_bitwise(name):
         for workers in (1, 2, 3)
     ]
     assert results[0] == results[1] == results[2]
+
+
+def _a6_record(workers):
+    cfg = EstimatorConfig(replicates=100_000, seed=17, mode="importance", workers=workers)
+    return estimate_second_moment_fractional(Q0, K75, HEAT1, CONST1, cfg)
+
+
+def _a6_in_child(queue):
+    queue.put(_a6_record(2))
+
+
+class TestSlicePool:
+    """The slice pools outlive a call; they must survive forks, concurrent
+    callers and failed calls."""
+
+    def test_forked_child_gets_the_parents_record(self):
+        # the child inherits the parent's pool without its threads: it must
+        # start its own rather than queue slices that never run
+        parent = _a6_record(2)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_a6_in_child, args=(queue,))
+        child.start()
+        try:
+            record = queue.get(timeout=60)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert record == parent
+
+    def test_concurrent_calls_match_sequential_runs(self):
+        cfg = EstimatorConfig(replicates=150_001, seed=61, mode="importance", workers=2)
+        names = ("fractional", "white")
+        expected = {name: _ESTIMATORS[name](cfg) for name in names}
+        got = {}
+        barrier = threading.Barrier(len(names))
+
+        def run(name):
+            barrier.wait()
+            got[name] = _ESTIMATORS[name](cfg)
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert got == expected
+
+    def test_failed_call_cancels_its_queued_slices(self, monkeypatch):
+        q = QueryPoint(t=0.5, s=0.5, x=(0.0,), y=(0.0,))
+        riesz = RieszKernel(dim=1, order=0.5)
+        # 100k one-point replicates: 7 slices, 4 of them in flight at once
+        cfg = EstimatorConfig(replicates=100_000, seed=81, workers=2)
+        normal = estimate_order_contribution(1, q, K75, riesz, CONST1, cfg)
+
+        # slice 1 fails at once; the others hold their worker first, so
+        # slice 4 (and perhaps 3) is still queued when the call sees the
+        # failure
+        index_of, started = {}, []
+        chunk_rng, with_redraw = mc_engine._chunk_rng, mc_engine._with_redraw
+
+        def indexed_rng(seed, stream, index):
+            rng = chunk_rng(seed, stream, index)
+            index_of[id(rng)] = index
+            return rng
+
+        def held(evaluate, kk, g, rng):
+            started.append(evaluate)
+            if index_of.pop(id(rng)) > 1:
+                time.sleep(1.0)
+            return with_redraw(evaluate, kk, g, rng)
+
+        monkeypatch.setattr(mc_engine, "_chunk_rng", indexed_rng)
+        monkeypatch.setattr(mc_engine, "_with_redraw", held)
+        monkeypatch.setattr(mc_engine, "_REDRAW_CAP", 0)
+        with pytest.raises(NumericError):
+            estimate_order_contribution(1, q, K75, riesz, CONST1, cfg)
+        failed = started[0]
+        ran = started.count(failed)
+        assert ran in (2, 3)
+
+        monkeypatch.setattr(mc_engine, "_REDRAW_CAP", 64)
+        assert estimate_order_contribution(1, q, K75, riesz, CONST1, cfg) == normal
+        assert started.count(failed) == ran
 
 
 def _dense_batch_stderr(values, batch_count):
